@@ -11,31 +11,44 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== smoke: campaign determinism across job counts =="
+echo "== smoke: campaign determinism across shard counts =="
+# --shards 1 runs every cell inline; 2 and 4 deal them to worker
+# processes.  stdout must be byte-identical at every count.
 CLI=_build/default/bin/metamut_cli.exe
 if [ -x "$CLI" ]; then
-  "$CLI" campaign --iterations 10 --jobs 1 > /tmp/campaign_j1.txt
-  "$CLI" campaign --iterations 10 --jobs 4 > /tmp/campaign_j4.txt
-  if cmp -s /tmp/campaign_j1.txt /tmp/campaign_j4.txt; then
-    echo "campaign output identical for --jobs 1 and --jobs 4"
-  else
-    echo "FAIL: campaign output differs between --jobs 1 and --jobs 4" >&2
-    diff /tmp/campaign_j1.txt /tmp/campaign_j4.txt >&2 || true
-    exit 1
-  fi
+  "$CLI" campaign --iterations 10 --shards 1 > /tmp/campaign_1.txt
+  for K in 2 4; do
+    "$CLI" campaign --iterations 10 --shards "$K" > "/tmp/campaign_$K.txt"
+    if cmp -s /tmp/campaign_1.txt "/tmp/campaign_$K.txt"; then
+      echo "campaign output identical for --shards 1 and --shards $K"
+    else
+      echo "FAIL: campaign output differs between --shards 1 and --shards $K" >&2
+      diff /tmp/campaign_1.txt "/tmp/campaign_$K.txt" >&2 || true
+      exit 1
+    fi
+  done
 fi
 
-echo "== smoke: faulted campaign determinism across job counts =="
+echo "== smoke: the removed --jobs flag is refused =="
 if [ -x "$CLI" ]; then
-  FAULTS="hang=0.05,crash=0.2"
-  "$CLI" campaign --iterations 10 --jobs 1 --faults "$FAULTS" --fault-seed 3 \
-    > /tmp/campaign_f1.txt
-  "$CLI" campaign --iterations 10 --jobs 4 --faults "$FAULTS" --fault-seed 3 \
-    > /tmp/campaign_f4.txt
+  if "$CLI" campaign --iterations 5 --jobs 2 > /dev/null 2>&1; then
+    echo "FAIL: campaign --jobs 2 was accepted" >&2
+    exit 1
+  fi
+  echo "campaign --jobs 2 exits non-zero"
+fi
+
+echo "== smoke: faulted campaign determinism across shard counts =="
+if [ -x "$CLI" ]; then
+  FAULTS="hang=0.05,oom=0.2"
+  "$CLI" campaign --iterations 10 --shards 1 --faults "$FAULTS" --fault-seed 3 \
+    > /tmp/campaign_f1.txt 2> /dev/null
+  "$CLI" campaign --iterations 10 --shards 4 --faults "$FAULTS" --fault-seed 3 \
+    > /tmp/campaign_f4.txt 2> /dev/null
   if cmp -s /tmp/campaign_f1.txt /tmp/campaign_f4.txt; then
-    echo "faulted campaign output identical for --jobs 1 and --jobs 4"
+    echo "faulted campaign output identical for --shards 1 and --shards 4"
   else
-    echo "FAIL: faulted campaign output differs between job counts" >&2
+    echo "FAIL: faulted campaign output differs between shard counts" >&2
     diff /tmp/campaign_f1.txt /tmp/campaign_f4.txt >&2 || true
     exit 1
   fi
@@ -44,11 +57,11 @@ fi
 echo "== smoke: campaign checkpoint/resume round-trip =="
 if [ -x "$CLI" ]; then
   CKPT=$(mktemp -d)
-  "$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" \
+  "$CLI" campaign --iterations 10 --shards 2 --checkpoint "$CKPT" \
     > /tmp/campaign_ckpt.txt 2> /dev/null
   # lose one completed cell, as a mid-run kill would
-  rm "$CKPT/done-uCFuzz.s-GCC.ckpt"
-  "$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" --resume \
+  rm "$CKPT/done-uCFuzz.s-GCC.ckpt" "$CKPT/journal-uCFuzz.s-GCC.ckpt"
+  "$CLI" campaign --iterations 10 --shards 2 --checkpoint "$CKPT" --resume \
     > /tmp/campaign_resume.txt 2> /dev/null
   if cmp -s /tmp/campaign_ckpt.txt /tmp/campaign_resume.txt; then
     echo "resumed campaign output identical to the uninterrupted run"
@@ -118,16 +131,31 @@ echo "== smoke: campaign determinism with telemetry enabled =="
 if [ -x "$CLI" ]; then
   TEL1=$(mktemp -d)
   TEL4=$(mktemp -d)
-  "$CLI" campaign --iterations 10 --jobs 1 --telemetry "$TEL1" \
+  "$CLI" campaign --iterations 10 --shards 1 --telemetry "$TEL1" \
     > /tmp/campaign_t1.txt 2> /dev/null
-  "$CLI" campaign --iterations 10 --jobs 4 --telemetry "$TEL4" \
+  "$CLI" campaign --iterations 10 --shards 4 --telemetry "$TEL4" \
     > /tmp/campaign_t4.txt 2> /dev/null
   if cmp -s /tmp/campaign_t1.txt /tmp/campaign_t4.txt \
-      && cmp -s /tmp/campaign_j1.txt /tmp/campaign_t1.txt; then
-    echo "campaign output identical with telemetry at --jobs 1 and 4"
+      && cmp -s /tmp/campaign_1.txt /tmp/campaign_t1.txt; then
+    echo "campaign output identical with telemetry at --shards 1 and 4"
   else
-    echo "FAIL: telemetry perturbed campaign output across job counts" >&2
+    echo "FAIL: telemetry perturbed campaign output across shard counts" >&2
     diff /tmp/campaign_t1.txt /tmp/campaign_t4.txt >&2 || true
+    exit 1
+  fi
+  # The report is deterministic up to its wall-clock tail, which starts
+  # at the span table.
+  sed '/^## Time by span/,$d' "$TEL1/campaign-report.md" > /tmp/report_1.md
+  sed '/^## Time by span/,$d' "$TEL4/campaign-report.md" > /tmp/report_4.md
+  grep -q '^## Run summary' /tmp/report_1.md || {
+    echo "FAIL: campaign-report.md lost its deterministic sections" >&2
+    exit 1
+  }
+  if cmp -s /tmp/report_1.md /tmp/report_4.md; then
+    echo "campaign-report.md identical at --shards 1 and 4 (before the span table)"
+  else
+    echo "FAIL: campaign-report.md differs between shard counts" >&2
+    diff /tmp/report_1.md /tmp/report_4.md >&2 || true
     exit 1
   fi
   rm -rf "$TEL1" "$TEL4"
@@ -138,12 +166,12 @@ if [ -x "$CLI" ]; then
   CKPT=$(mktemp -d)
   TELA=$(mktemp -d)
   TELB=$(mktemp -d)
-  FAULTS="hang=0.05,crash=0.2"
-  "$CLI" campaign --iterations 10 --jobs 2 --faults "$FAULTS" \
+  FAULTS="hang=0.05,oom=0.2"
+  "$CLI" campaign --iterations 10 --shards 2 --faults "$FAULTS" \
     --fault-seed 3 --checkpoint "$CKPT" --telemetry "$TELA" \
     > /tmp/campaign_ftel.txt 2> /dev/null
-  rm "$CKPT/done-uCFuzz.s-GCC.ckpt"
-  "$CLI" campaign --iterations 10 --jobs 2 --faults "$FAULTS" \
+  rm "$CKPT/done-uCFuzz.s-GCC.ckpt" "$CKPT/journal-uCFuzz.s-GCC.ckpt"
+  "$CLI" campaign --iterations 10 --shards 2 --faults "$FAULTS" \
     --fault-seed 3 --checkpoint "$CKPT" --resume --telemetry "$TELB" \
     > /tmp/campaign_ftel_resume.txt 2> /dev/null
   if cmp -s /tmp/campaign_ftel.txt /tmp/campaign_ftel_resume.txt; then
@@ -196,14 +224,14 @@ EOF
   rm -f "$WC"
 fi
 
-echo "== smoke: campaign --bisect determinism across job counts =="
+echo "== smoke: campaign --bisect determinism across shard counts =="
 if [ -x "$CLI" ]; then
-  "$CLI" campaign --iterations 10 --jobs 1 --bisect > /tmp/campaign_b1.txt
-  "$CLI" campaign --iterations 10 --jobs 4 --bisect > /tmp/campaign_b4.txt
+  "$CLI" campaign --iterations 10 --shards 1 --bisect > /tmp/campaign_b1.txt
+  "$CLI" campaign --iterations 10 --shards 4 --bisect > /tmp/campaign_b4.txt
   if cmp -s /tmp/campaign_b1.txt /tmp/campaign_b4.txt; then
-    echo "campaign --bisect output identical for --jobs 1 and --jobs 4"
+    echo "campaign --bisect output identical for --shards 1 and --shards 4"
   else
-    echo "FAIL: campaign --bisect output differs between job counts" >&2
+    echo "FAIL: campaign --bisect output differs between shard counts" >&2
     diff /tmp/campaign_b1.txt /tmp/campaign_b4.txt >&2 || true
     exit 1
   fi
@@ -238,37 +266,29 @@ if [ -x "$BENCH" ]; then
     exit 1
   fi
   echo "smoke minor-words/compile $SMOKE_WORDS within baseline $BASELINE x 1.15"
-fi
-
-echo "== smoke: scheduled fuzzing determinism across job counts =="
-# The corpus scheduler (favored-entry picks + pool trimming) must be
-# deterministic at any job count, like the default path.
-if [ -x "$CLI" ]; then
-  "$CLI" campaign --iterations 10 --jobs 1 --schedule > /tmp/campaign_s1.txt
-  "$CLI" campaign --iterations 10 --jobs 4 --schedule > /tmp/campaign_s4.txt
-  if cmp -s /tmp/campaign_s1.txt /tmp/campaign_s4.txt; then
-    echo "scheduled campaign output identical for --jobs 1 and --jobs 4"
-  else
-    echo "FAIL: scheduled campaign output differs between job counts" >&2
-    diff /tmp/campaign_s1.txt /tmp/campaign_s4.txt >&2 || true
+  # bad arguments exit 2 with a usage line instead of running the budget
+  set +e
+  "$BENCH" --iterations 5 > /dev/null 2> /tmp/throughput_usage.err
+  RC=$?
+  set -e
+  if [ "$RC" -ne 2 ] || ! grep -q '^usage:' /tmp/throughput_usage.err; then
+    echo "FAIL: throughput.exe --iterations 5 exited $RC, want 2 with usage" >&2
     exit 1
   fi
+  echo "throughput.exe rejects an unknown flag with exit 2"
 fi
 
-echo "== smoke: sharded campaign determinism across shard counts =="
-# The fork/socket coordinator must reproduce the sequential campaign
-# byte-for-byte: shards:1 (inline) and shards:2 (two forked workers)
-# both have to match the plain --jobs 1 run captured above.
+echo "== smoke: scheduled fuzzing determinism across shard counts =="
+# The corpus scheduler (favored-entry picks + pool trimming) must be
+# deterministic at any shard count, like the default path.
 if [ -x "$CLI" ]; then
-  "$CLI" campaign --iterations 10 --shards 1 > /tmp/campaign_sh1.txt 2> /dev/null
-  "$CLI" campaign --iterations 10 --shards 2 > /tmp/campaign_sh2.txt 2> /dev/null
-  if cmp -s /tmp/campaign_sh1.txt /tmp/campaign_sh2.txt \
-      && cmp -s /tmp/campaign_j1.txt /tmp/campaign_sh1.txt; then
-    echo "sharded campaign output identical for --shards 1, --shards 2, and plain"
+  "$CLI" campaign --iterations 10 --shards 1 --schedule > /tmp/campaign_s1.txt
+  "$CLI" campaign --iterations 10 --shards 4 --schedule > /tmp/campaign_s4.txt
+  if cmp -s /tmp/campaign_s1.txt /tmp/campaign_s4.txt; then
+    echo "scheduled campaign output identical for --shards 1 and --shards 4"
   else
-    echo "FAIL: sharded campaign output differs across shard counts" >&2
-    diff /tmp/campaign_sh1.txt /tmp/campaign_sh2.txt >&2 || true
-    diff /tmp/campaign_j1.txt /tmp/campaign_sh1.txt >&2 || true
+    echo "FAIL: scheduled campaign output differs between shard counts" >&2
+    diff /tmp/campaign_s1.txt /tmp/campaign_s4.txt >&2 || true
     exit 1
   fi
 fi
@@ -282,11 +302,11 @@ if [ -x "$CLI" ]; then
   METAMUT_SHARD_KILL="uCFuzz.s-GCC" \
     "$CLI" campaign --iterations 10 --shards 2 \
     > /tmp/campaign_kill.txt 2> /tmp/campaign_kill.err
-  if cmp -s /tmp/campaign_sh2.txt /tmp/campaign_kill.txt; then
+  if cmp -s /tmp/campaign_2.txt /tmp/campaign_kill.txt; then
     echo "campaign output identical after a mid-lease worker kill"
   else
     echo "FAIL: worker-kill recovery changed the campaign output" >&2
-    diff /tmp/campaign_sh2.txt /tmp/campaign_kill.txt >&2 || true
+    diff /tmp/campaign_2.txt /tmp/campaign_kill.txt >&2 || true
     exit 1
   fi
   grep -q 'shard recovery: 1 worker death' /tmp/campaign_kill.err || {
@@ -327,12 +347,12 @@ if [ -x "$CLI" ]; then
     --fault-seed 17 --hang-timeout 2 \
     > /tmp/campaign_ch2.txt 2> /tmp/campaign_ch2.err
   if cmp -s /tmp/campaign_ch1.txt /tmp/campaign_ch2.txt \
-      && cmp -s /tmp/campaign_sh2.txt /tmp/campaign_ch2.txt; then
+      && cmp -s /tmp/campaign_2.txt /tmp/campaign_ch2.txt; then
     echo "chaos-armed campaign output identical across shard counts and to clean"
   else
     echo "FAIL: shard-layer chaos changed the campaign output" >&2
     diff /tmp/campaign_ch1.txt /tmp/campaign_ch2.txt >&2 || true
-    diff /tmp/campaign_sh2.txt /tmp/campaign_ch2.txt >&2 || true
+    diff /tmp/campaign_2.txt /tmp/campaign_ch2.txt >&2 || true
     exit 1
   fi
   grep -q 'shard recovery:' /tmp/campaign_ch2.err || {
@@ -351,8 +371,33 @@ if [ -x "$CLI" ]; then
     --checkpoint "$CKPT" > /tmp/campaign_crash.txt 2> /dev/null &
   COORD_PID=$!
   sleep 1
+  WORKERS=""
+  if command -v pgrep > /dev/null 2>&1; then
+    WORKERS=$(pgrep -P "$COORD_PID" || true)
+  fi
   kill -9 "$COORD_PID" 2> /dev/null || true
   wait "$COORD_PID" 2> /dev/null || true
+  # orphaned workers see EOF on their socket once their current lease
+  # ends, and exit by themselves (a zombie awaiting its reaper counts
+  # as exited)
+  running() {
+    ST=$(ps -o stat= -p "$1" 2> /dev/null || true)
+    [ -n "$ST" ] && [ "${ST#Z}" = "$ST" ]
+  }
+  LEAKED=""
+  for W in $WORKERS; do
+    i=0
+    while running "$W" && [ $i -lt 100 ]; do
+      sleep 0.1
+      i=$((i + 1))
+    done
+    if running "$W"; then LEAKED="$LEAKED $W"; fi
+  done
+  if [ -n "$LEAKED" ]; then
+    kill -9 $LEAKED 2> /dev/null || true
+    echo "FAIL: worker(s)$LEAKED outlived their SIGKILLed coordinator" >&2
+    exit 1
+  fi
   "$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
     --checkpoint "$CKPT" --resume \
     > /tmp/campaign_crash_resume.txt 2> /dev/null
@@ -368,33 +413,31 @@ fi
 
 echo "== smoke: structured log determinism =="
 # The --log body carries no wall clock and renders grouped by scope, so
-# it must be byte-identical across job counts, across shard counts, and
-# under worker-process chaos (in-worker and shard-level fault records are
-# pure functions of the per-lease fault stream).  Never compare a
-# jobs-path log against a shards-path log: the supervision records
-# legitimately differ.
+# it must be byte-identical across shard counts, including under
+# in-process faults and worker-process chaos (in-worker and shard-level
+# fault records are pure functions of the per-lease fault stream).
 if [ -x "$CLI" ]; then
-  # in-process faults + checkpointing at :debug so the jobs-path log has
-  # real records (fault.injected, retry.backoff, checkpoint.saved) to
-  # compare, not two empty files
+  # in-process faults, worker OOM kills and checkpointing at :debug, so
+  # the logs hold real records (fault.injected, lease.infra,
+  # checkpoint.saved) to compare, not two empty files
   CKL1=$(mktemp -d)
   CKL4=$(mktemp -d)
-  "$CLI" campaign --iterations 10 --jobs 1 --faults "hang=0.05,crash=0.2" \
+  "$CLI" campaign --iterations 10 --shards 1 --faults "hang=0.05,oom=0.2" \
     --fault-seed 3 --checkpoint "$CKL1" \
-    --log /tmp/campaign_lg_j1.jsonl:debug > /dev/null 2> /dev/null
-  "$CLI" campaign --iterations 10 --jobs 4 --faults "hang=0.05,crash=0.2" \
+    --log /tmp/campaign_lg_f1.jsonl:debug > /dev/null 2> /dev/null
+  "$CLI" campaign --iterations 10 --shards 4 --faults "hang=0.05,oom=0.2" \
     --fault-seed 3 --checkpoint "$CKL4" \
-    --log /tmp/campaign_lg_j4.jsonl:debug > /dev/null 2> /dev/null
+    --log /tmp/campaign_lg_f4.jsonl:debug > /dev/null 2> /dev/null
   rm -rf "$CKL1" "$CKL4"
-  if cmp -s /tmp/campaign_lg_j1.jsonl /tmp/campaign_lg_j4.jsonl; then
-    echo "log body identical for --jobs 1 and --jobs 4"
+  if cmp -s /tmp/campaign_lg_f1.jsonl /tmp/campaign_lg_f4.jsonl; then
+    echo "faulted :debug log body identical for --shards 1 and --shards 4"
   else
-    echo "FAIL: --log body differs between job counts" >&2
-    diff /tmp/campaign_lg_j1.jsonl /tmp/campaign_lg_j4.jsonl >&2 || true
+    echo "FAIL: faulted --log body differs between shard counts" >&2
+    diff /tmp/campaign_lg_f1.jsonl /tmp/campaign_lg_f4.jsonl >&2 || true
     exit 1
   fi
-  grep -q '"event":"fault.injected"' /tmp/campaign_lg_j1.jsonl || {
-    echo "FAIL: faulted jobs-path log has no fault.injected records" >&2
+  grep -q '"event":"fault.injected"' /tmp/campaign_lg_f1.jsonl || {
+    echo "FAIL: faulted log has no fault.injected records" >&2
     exit 1
   }
   "$CLI" campaign --iterations 10 --shards 1 --log /tmp/campaign_lg_sh1.jsonl \
@@ -477,7 +520,7 @@ echo "== smoke: live observability endpoints (--serve) =="
 if [ -x "$CLI" ] && command -v curl > /dev/null 2>&1; then
   TEL=$(mktemp -d)
   : > /tmp/campaign_serve.err
-  METAMUT_SERVE_LINGER=10 "$CLI" campaign --iterations 10 --jobs 1 \
+  METAMUT_SERVE_LINGER=10 "$CLI" campaign --iterations 10 --shards 1 \
     --serve 127.0.0.1:0 --telemetry "$TEL" \
     > /tmp/campaign_serve.txt 2> /tmp/campaign_serve.err &
   SRV_PID=$!
@@ -534,11 +577,11 @@ if [ -x "$CLI" ] && command -v curl > /dev/null 2>&1; then
     diff /tmp/serve_metrics_f.prom /tmp/final_metrics_f.prom >&2 || true
     exit 1
   fi
-  if cmp -s /tmp/campaign_j1.txt /tmp/campaign_serve.txt; then
+  if cmp -s /tmp/campaign_1.txt /tmp/campaign_serve.txt; then
     echo "serving did not perturb campaign stdout"
   else
     echo "FAIL: --serve changed the campaign output" >&2
-    diff /tmp/campaign_j1.txt /tmp/campaign_serve.txt >&2 || true
+    diff /tmp/campaign_1.txt /tmp/campaign_serve.txt >&2 || true
     exit 1
   fi
   rm -rf "$TEL"

@@ -188,7 +188,11 @@ let campaign =
          max_attempts = 12;
        }
      in
-     Fuzzing.Campaign.run ~cfg ())
+     (* one forked worker per core; results are shard-count-invariant *)
+     Fuzzing.Coordinator.to_campaign
+       (Fuzzing.Coordinator.run ~cfg
+          ~shards:(Domain.recommended_domain_count ())
+          ~backend:Engine.Shard.Fork ()))
 
 let fuzzer_label = Fuzzing.Campaign.fuzzer_name
 

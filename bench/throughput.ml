@@ -22,38 +22,71 @@
 
    Flags / environment:
      --smoke                     tiny budget for CI (also: METAMUT_BENCH_SMOKE=1)
+     --shards K                  K forked workers, one sub-budget each
      --out FILE                  output path (default BENCH_fuzz_throughput.json)
      --label NAME                history key (default: the mode, smoke/full)
-     METAMUT_THROUGHPUT_ITERS=N  override the iteration budget *)
+     METAMUT_THROUGHPUT_ITERS=N  override the iteration budget
+
+   Anything else (an unknown flag, a malformed number) exits 2 with a
+   usage line: a mistyped option must not silently run the full budget. *)
 
 let () = Engine.Runtime.tune ()
 
-let smoke =
-  Array.exists (( = ) "--smoke") Sys.argv
-  || Sys.getenv_opt "METAMUT_BENCH_SMOKE" = Some "1"
+let usage =
+  "usage: throughput.exe [--smoke] [--shards K] [--out FILE] [--label NAME]"
+
+let usage_error fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "throughput: %s@.%s@." msg usage;
+      exit 2)
+    fmt
+
+let smoke_flag, shards, out_path, label_flag =
+  let smoke = ref false and shards = ref 0 in
+  let out = ref "BENCH_fuzz_throughput.json" and label = ref None in
+  let rec go = function
+    | [] -> ()
+    | "--smoke" :: rest ->
+      smoke := true;
+      go rest
+    | "--shards" :: v :: rest ->
+      (match int_of_string_opt v with
+      | Some k when k >= 0 -> shards := k
+      | _ -> usage_error "--shards: expected a non-negative integer, got %S" v);
+      go rest
+    | "--out" :: v :: rest ->
+      out := v;
+      go rest
+    | "--label" :: v :: rest ->
+      label := Some v;
+      go rest
+    | [ (("--shards" | "--out" | "--label") as flag) ] ->
+      usage_error "%s needs a value" flag
+    | arg :: _ -> usage_error "unknown argument %S" arg
+  in
+  go (List.tl (Array.to_list Sys.argv));
+  (!smoke, !shards, !out, !label)
+
+let smoke = smoke_flag || Sys.getenv_opt "METAMUT_BENCH_SMOKE" = Some "1"
 
 let iterations =
   match Sys.getenv_opt "METAMUT_THROUGHPUT_ITERS" with
-  | Some s -> (try int_of_string s with _ -> 10_000)
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n when n > 0 -> n
+    | _ ->
+      usage_error
+        "METAMUT_THROUGHPUT_ITERS: expected a positive integer, got %S" s)
   | None -> if smoke then 200 else 10_000
 
-let flag_value name ~default =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then default
-    else if Sys.argv.(i) = name then Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let shards = int_of_string (flag_value "--shards" ~default:"0")
-let out_path = flag_value "--out" ~default:"BENCH_fuzz_throughput.json"
-
 let label =
-  flag_value "--label"
-    ~default:
-      (if shards > 0 then Fmt.str "shards-%d" shards
-       else if smoke then "smoke"
-       else "full")
+  match label_flag with
+  | Some l -> l
+  | None ->
+    if shards > 0 then Fmt.str "shards-%d" shards
+    else if smoke then "smoke"
+    else "full"
 
 (* ------------------------------------------------------------------ *)
 (* Measurements                                                        *)

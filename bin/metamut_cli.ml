@@ -121,8 +121,6 @@ let render_metrics (ctx : Engine.Ctx.t) =
   render_counter_family ctx ~title:"Pipeline counters" ~prefix:"pipeline."
     ~exclude:[ "outcome."; "retry." ] ();
   render_counter_family ctx ~title:"Fault injection" ~prefix:"faults." ();
-  render_counter_family ctx ~title:"Scheduler supervision" ~prefix:"scheduler."
-    ();
   render_counter_family ctx ~title:"Shard supervision" ~prefix:"shard." ();
   render_counter_family ctx ~title:"Checkpointing" ~prefix:"checkpoint." ();
   render_mutator_counters ctx
@@ -191,8 +189,7 @@ let log_flag =
           "Write a structured JSON-lines event log to $(i,FILE) at exit \
            ($(i,LEVEL) one of debug, info, warn, error; default info).  \
            Records carry a monotonic $(b,seq), not a wall clock, so the \
-           log body is byte-identical across $(b,--jobs) and \
-           $(b,--shards) counts.")
+           log body is byte-identical across $(b,--shards) counts.")
 
 let parse_log_spec spec =
   Option.map
@@ -245,13 +242,13 @@ let faults_term =
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
             "Fault-injection spec: comma-separated site=rate pairs over the \
-             in-process sites llm, hang, crash, io and the shard-layer \
-             chaos sites frame, stall, oom, coord (e.g. \
-             $(b,llm=0.3,hang=0.05,crash=0.2,io=0.1) or \
+             in-process sites llm, hang, io and the shard-layer chaos \
+             sites frame, stall, oom, coord (e.g. \
+             $(b,llm=0.3,hang=0.05,io=0.1) or \
              $(b,frame=0.05,oom=0.01)); $(b,off) disables.  Shard sites \
              garble/stall worker frames, OOM-kill workers at lease start, \
-             and crash-restart the coordinator; they only act under \
-             $(b,campaign --shards).  Defaults to $(b,METAMUT_FAULTS) when \
+             and crash-restart the coordinator; only $(b,campaign) \
+             consults them.  Defaults to $(b,METAMUT_FAULTS) when \
              set.")
   in
   let fseed =
@@ -727,9 +724,8 @@ let generate_cmd =
 (* campaign                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The RQ1 stdout table: shared by the Domain-parallel and sharded
-   paths, so `campaign` and `campaign --shards K` stay byte-comparable
-   on stdout. *)
+(* The RQ1 stdout table: a pure function of the merged results, so
+   stdout is byte-identical at any shard count. *)
 let print_rq1_table (t : Fuzzing.Campaign.t) =
   let table =
     Report.Table.create ~title:"RQ1 campaign"
@@ -748,7 +744,7 @@ let print_rq1_table (t : Fuzzing.Campaign.t) =
 
 (* --bisect: attribute every unique optimizer-stage crash to its
    culprit pass(es).  Deterministic in the campaign results, so this
-   table is byte-identical at any job or shard count. *)
+   table is byte-identical at any shard count. *)
 let run_bisect ?engine (t : Fuzzing.Campaign.t) =
   let ats = Fuzzing.Bisect.attribute ?engine t in
   let bt =
@@ -772,7 +768,7 @@ let run_bisect ?engine (t : Fuzzing.Campaign.t) =
   Report.Table.print bt;
   ats
 
-let campaign iterations jobs sample_every schedule faults checkpoint resume
+let campaign iterations sample_every schedule faults checkpoint resume
     bisect metrics telemetry status shards opt_matrix hang_timeout
     lease_deadline alloc_budget serve log_spec =
   (* the per-lease resource governor, only built when a flag departs
@@ -798,8 +794,6 @@ let campaign iterations jobs sample_every schedule faults checkpoint resume
       (* 0 = auto: ten samples across the run *)
       sample_every =
         (if sample_every > 0 then sample_every else max 1 (iterations / 10));
-      jobs =
-        (if jobs > 0 then jobs else Fuzzing.Campaign.default_config.jobs);
       schedule }
   in
   let status = want_status status in
@@ -841,11 +835,9 @@ let campaign iterations jobs sample_every schedule faults checkpoint resume
       (fun e -> Engine.Ctx.log_event e ~scope:"" ~level ~event fields)
       engine
   in
-  (* live progress: the Status sink narrates events when cells share the
-     main context (jobs <= 1); the per-cell completion callback covers
-     parallel runs, whose workers emit on private buses.  Both rewrite
-     the same stderr line, serialised by a mutex (ticks arrive from
-     worker domains). *)
+  (* live progress: the Status line folds the pool's aggregated
+     heartbeats, and the per-unit completion callback rewrites the same
+     stderr line (both run on the coordinator, never concurrently) *)
   let st =
     match engine with
     | Some e when status -> Some (Engine.Status.attach ~label:"campaign" e)
@@ -853,178 +845,127 @@ let campaign iterations jobs sample_every schedule faults checkpoint resume
   in
   let progress =
     if not status then None
-    else begin
-      let m = Mutex.create () in
+    else
       Some
         (fun ~completed ~total name ->
-          Mutex.lock m;
-          Fmt.epr "\r\027[K[%d/%d] %s done%!" completed total name;
-          Mutex.unlock m)
+          Fmt.epr "\r\027[K[%d/%d] %s done%!" completed total name)
+  in
+  (* deal cells (x -O levels) to worker subprocesses spawned as
+     `metamut worker`, socket end as the child's stdin; one shard runs
+     every lease inline *)
+  let shards =
+    if shards > 0 then shards else Domain.recommended_domain_count ()
+  in
+  let exe = Sys.executable_name in
+  (* Spawn workers can't inherit the harness or the governor through
+     fork: they rebuild both from the environment *)
+  Option.iter Engine.Faults.export_to_env faults;
+  Option.iter
+    (fun (l : Engine.Shard.limits) ->
+      if l.alloc_budget_words < infinity then
+        Unix.putenv "METAMUT_SHARD_ALLOC_BUDGET"
+          (Fmt.str "%.0f" l.alloc_budget_words))
+    limits;
+  let backend =
+    Engine.Shard.Spawn
+      (fun fd ->
+        Unix.create_process exe [| exe; "worker" |] fd Unix.stdout
+          Unix.stderr)
+  in
+  let t =
+    Fuzzing.Coordinator.run ~cfg ~opt_levels:opt_matrix ?engine ?faults
+      ?checkpoint ~resume ~shards ~backend ?limits
+      ?status:st ?progress ?serve:srv ?flight_dir:telemetry ()
+  in
+  Option.iter Engine.Status.finish st;
+  if status then Fmt.epr "\r\027[K%!";
+  if t.Fuzzing.Coordinator.resumed_units > 0 then
+    Fmt.epr "resumed %d completed cell(s) from checkpoint@."
+      t.Fuzzing.Coordinator.resumed_units;
+  List.iter
+    (fun (u, msg) ->
+      Fmt.epr "FAILED %s: %s@." (Fuzzing.Coordinator.unit_name u) msg)
+    t.Fuzzing.Coordinator.failures;
+  List.iter
+    (fun (q : Fuzzing.Coordinator.quarantined_unit) ->
+      Fmt.epr "QUARANTINED %s after %d attempt(s): %s@."
+        (Fuzzing.Coordinator.unit_name q.Fuzzing.Coordinator.qu_unit)
+        q.Fuzzing.Coordinator.qu_attempts q.Fuzzing.Coordinator.qu_reason)
+    t.Fuzzing.Coordinator.quarantined;
+  let s = t.Fuzzing.Coordinator.shard_stats in
+  (* driver-scope summary: only shard-count-invariant counts (the
+     crash-restart tally is pooled-path-only, so it stays out) *)
+  if s.Engine.Shard.st_died > 0 || s.Engine.Shard.st_requeued > 0
+     || s.Engine.Shard.st_quarantined > 0
+  then
+    log_driver ~level:Engine.Log.Warn ~event:"shard.recovery"
+      [
+        ("died", string_of_int s.Engine.Shard.st_died);
+        ("requeued", string_of_int s.Engine.Shard.st_requeued);
+        ("quarantined", string_of_int s.Engine.Shard.st_quarantined);
+      ];
+  if s.Engine.Shard.st_died > 0 || s.Engine.Shard.st_requeued > 0 then
+    Fmt.epr "shard recovery: %d worker death(s), %d lease(s) requeued@."
+      s.Engine.Shard.st_died s.Engine.Shard.st_requeued;
+  if
+    s.Engine.Shard.st_oom > 0
+    || s.Engine.Shard.st_deadline > 0
+    || s.Engine.Shard.st_quarantined > 0
+    || s.Engine.Shard.st_crash_restarts > 0
+  then
+    Fmt.epr
+      "shard governor: %d oom kill(s), %d deadline kill(s), %d \
+       quarantined, %d coordinator restart(s)@."
+      s.Engine.Shard.st_oom s.Engine.Shard.st_deadline
+      s.Engine.Shard.st_quarantined s.Engine.Shard.st_crash_restarts;
+  if opt_matrix = [] then
+    print_rq1_table (Fuzzing.Coordinator.to_campaign t)
+  else begin
+    let table =
+      Report.Table.create ~title:"RQ1 campaign (opt matrix)"
+        ~header:
+          [ "fuzzer"; "compiler"; "-O"; "coverage"; "crashes";
+            "compilable %" ]
+    in
+    List.iter
+      (fun ((u : Fuzzing.Coordinator.unit_id), r) ->
+        Report.Table.add_row table
+          [ Fuzzing.Campaign.fuzzer_name u.Fuzzing.Coordinator.u_fuzzer;
+            Simcomp.Bugdb.compiler_to_string u.Fuzzing.Coordinator.u_compiler;
+            (match u.Fuzzing.Coordinator.u_opt with
+            | Some l -> string_of_int l
+            | None -> "2");
+            string_of_int
+              (Simcomp.Coverage.covered r.Fuzzing.Fuzz_result.coverage);
+            string_of_int (Fuzzing.Fuzz_result.unique_crashes r);
+            Fmt.str "%.1f" (Fuzzing.Fuzz_result.compilable_ratio r) ])
+      t.Fuzzing.Coordinator.results;
+    Report.Table.print table
+  end;
+  (* bisect runs over the default axis only: opt-matrix units would
+     collapse onto the same cell and mix levels *)
+  let attribution =
+    if bisect && opt_matrix = [] then
+      Some (run_bisect ?engine (Fuzzing.Coordinator.to_campaign t))
+    else begin
+      if bisect then
+        Fmt.epr "bisect: skipped (not defined over --opt-matrix units)@.";
+      None
     end
   in
-  if shards = 0 && opt_matrix = [] then begin
-    (* single-process path: the Domain scheduler over the cell matrix.
-       The serve sink folds campaign events off the main bus. *)
-    Option.iter Engine.Serve.attach_sink srv;
-    let t =
-      Fuzzing.Campaign.run ~cfg ?engine ?faults ?checkpoint ~resume ?progress ()
-    in
-    Option.iter Engine.Status.finish st;
-    if status then Fmt.epr "\r\027[K%!";
-    (* bookkeeping goes to stderr so stdout stays byte-comparable between
-       faulted/resumed runs and clean ones *)
-    if t.Fuzzing.Campaign.resumed_cells > 0 then
-      Fmt.epr "resumed %d completed cell(s) from checkpoint@."
-        t.Fuzzing.Campaign.resumed_cells;
-    List.iter
-      (fun ((f, c), msg) ->
-        let name =
-          Fuzzing.Campaign.fuzzer_name f ^ "-"
-          ^ Simcomp.Bugdb.compiler_to_string c
-        in
-        log_driver ~level:Engine.Log.Error ~event:"campaign.cell_failed"
-          [ ("cell", name); ("error", msg) ];
-        Fmt.epr "FAILED %s: %s@." name msg)
-      t.Fuzzing.Campaign.failures;
-    print_rq1_table t;
-    let attribution =
-      if not bisect then None else Some (run_bisect ?engine t)
-    in
-    Option.iter
-      (fun tl ->
-        Engine.Telemetry.finalize
-          ~report:(Fuzzing.Run_report.campaign ?engine ?attribution t)
-          tl)
-      tel;
-    write_log ();
-    serve_shutdown srv;
-    if metrics then Option.iter render_metrics engine
-  end
-  else begin
-    (* sharded path: deal cells (x -O levels) to worker subprocesses
-       spawned as `metamut worker`, socket end as the child's stdin *)
-    let exe = Sys.executable_name in
-    (* Spawn workers can't inherit the harness or the governor through
-       fork: they rebuild both from the environment *)
-    Option.iter Engine.Faults.export_to_env faults;
-    Option.iter
-      (fun (l : Engine.Shard.limits) ->
-        if l.alloc_budget_words < infinity then
-          Unix.putenv "METAMUT_SHARD_ALLOC_BUDGET"
-            (Fmt.str "%.0f" l.alloc_budget_words))
-      limits;
-    let backend =
-      Engine.Shard.Spawn
-        (fun fd ->
-          Unix.create_process exe [| exe; "worker" |] fd Unix.stdout
-            Unix.stderr)
-    in
-    let t =
-      Fuzzing.Coordinator.run ~cfg ~opt_levels:opt_matrix ?engine ?faults
-        ?checkpoint ~resume ~shards:(max 1 shards) ~backend ?limits
-        ?status:st ?progress ?serve:srv ?flight_dir:telemetry ()
-    in
-    Option.iter Engine.Status.finish st;
-    if status then Fmt.epr "\r\027[K%!";
-    if t.Fuzzing.Coordinator.resumed_units > 0 then
-      Fmt.epr "resumed %d completed cell(s) from checkpoint@."
-        t.Fuzzing.Coordinator.resumed_units;
-    List.iter
-      (fun (u, msg) ->
-        Fmt.epr "FAILED %s: %s@." (Fuzzing.Coordinator.unit_name u) msg)
-      t.Fuzzing.Coordinator.failures;
-    List.iter
-      (fun (q : Fuzzing.Coordinator.quarantined_unit) ->
-        Fmt.epr "QUARANTINED %s after %d attempt(s): %s@."
-          (Fuzzing.Coordinator.unit_name q.Fuzzing.Coordinator.qu_unit)
-          q.Fuzzing.Coordinator.qu_attempts q.Fuzzing.Coordinator.qu_reason)
-      t.Fuzzing.Coordinator.quarantined;
-    let s = t.Fuzzing.Coordinator.shard_stats in
-    (* driver-scope summary: only shard-count-invariant counts (the
-       crash-restart tally is pooled-path-only, so it stays out) *)
-    if s.Engine.Shard.st_died > 0 || s.Engine.Shard.st_requeued > 0
-       || s.Engine.Shard.st_quarantined > 0
-    then
-      log_driver ~level:Engine.Log.Warn ~event:"shard.recovery"
-        [
-          ("died", string_of_int s.Engine.Shard.st_died);
-          ("requeued", string_of_int s.Engine.Shard.st_requeued);
-          ("quarantined", string_of_int s.Engine.Shard.st_quarantined);
-        ];
-    if s.Engine.Shard.st_died > 0 || s.Engine.Shard.st_requeued > 0 then
-      Fmt.epr "shard recovery: %d worker death(s), %d lease(s) requeued@."
-        s.Engine.Shard.st_died s.Engine.Shard.st_requeued;
-    if
-      s.Engine.Shard.st_oom > 0
-      || s.Engine.Shard.st_deadline > 0
-      || s.Engine.Shard.st_quarantined > 0
-      || s.Engine.Shard.st_crash_restarts > 0
-    then
-      Fmt.epr
-        "shard governor: %d oom kill(s), %d deadline kill(s), %d \
-         quarantined, %d coordinator restart(s)@."
-        s.Engine.Shard.st_oom s.Engine.Shard.st_deadline
-        s.Engine.Shard.st_quarantined s.Engine.Shard.st_crash_restarts;
-    if opt_matrix = [] then
-      (* same cells, same table: stdout is byte-identical to the
-         single-process campaign *)
-      print_rq1_table (Fuzzing.Coordinator.to_campaign t)
-    else begin
-      let table =
-        Report.Table.create ~title:"RQ1 campaign (opt matrix)"
-          ~header:
-            [ "fuzzer"; "compiler"; "-O"; "coverage"; "crashes";
-              "compilable %" ]
-      in
-      List.iter
-        (fun ((u : Fuzzing.Coordinator.unit_id), r) ->
-          Report.Table.add_row table
-            [ Fuzzing.Campaign.fuzzer_name u.Fuzzing.Coordinator.u_fuzzer;
-              Simcomp.Bugdb.compiler_to_string u.Fuzzing.Coordinator.u_compiler;
-              (match u.Fuzzing.Coordinator.u_opt with
-              | Some l -> string_of_int l
-              | None -> "2");
-              string_of_int
-                (Simcomp.Coverage.covered r.Fuzzing.Fuzz_result.coverage);
-              string_of_int (Fuzzing.Fuzz_result.unique_crashes r);
-              Fmt.str "%.1f" (Fuzzing.Fuzz_result.compilable_ratio r) ])
-        t.Fuzzing.Coordinator.results;
-      Report.Table.print table
-    end;
-    (* bisect runs over the default axis only: opt-matrix units would
-       collapse onto the same cell and mix levels *)
-    let attribution =
-      if bisect && opt_matrix = [] then
-        Some (run_bisect ?engine (Fuzzing.Coordinator.to_campaign t))
-      else begin
-        if bisect then
-          Fmt.epr "bisect: skipped (not defined over --opt-matrix units)@.";
-        None
-      end
-    in
-    Option.iter
-      (fun tl ->
-        Engine.Telemetry.finalize
-          ~report:(Fuzzing.Coordinator.report ?engine ?attribution t)
-          tl)
-      tel;
-    write_log ();
-    serve_shutdown srv;
-    if metrics then Option.iter render_metrics engine
-  end
+  Option.iter
+    (fun tl ->
+      Engine.Telemetry.finalize
+        ~report:(Fuzzing.Coordinator.report ?engine ?attribution t)
+        tl)
+    tel;
+  write_log ();
+  serve_shutdown srv;
+  if metrics then Option.iter render_metrics engine
 
 let campaign_cmd =
   let iterations =
     Arg.(value & opt int 200 & info [ "n"; "iterations" ] ~doc:"Iterations.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Domain workers over the fuzzer x compiler matrix (0 = \
-             recommended domain count).  Results are identical at any job \
-             count.")
   in
   let checkpoint =
     Arg.(
@@ -1069,7 +1010,7 @@ let campaign_cmd =
           ~doc:
             "Enable AFL-style corpus scheduling in the uCFuzz cells \
              (favored-entry picks + pool trimming).  Deterministic at any \
-             job count.")
+             shard count.")
   in
   let shards =
     Arg.(
@@ -1078,9 +1019,10 @@ let campaign_cmd =
           ~doc:
             "Deal campaign cells to $(docv) worker $(i,processes) \
              (spawned $(b,metamut worker), length-prefixed frames over a \
-             Unix socketpair).  0 = off (in-process Domain workers); \
-             results are byte-identical at any shard count, and a dead \
-             or hung worker's lease is requeued."
+             Unix socketpair).  0 = one worker per core; 1 = run every \
+             cell inline in this process.  Results are byte-identical at \
+             any shard count, and a dead or hung worker's lease is \
+             requeued."
           ~docv:"K")
   in
   let opt_matrix =
@@ -1090,8 +1032,7 @@ let campaign_cmd =
           ~doc:
             "Cross every cell with these $(b,-O) levels (e.g. \
              $(b,--opt-matrix 0,2,3)), so per-level pass pipelines \
-             become campaign units of their own.  Implies the sharded \
-             coordinator path.")
+             become campaign units of their own.")
   in
   let hang_timeout =
     Arg.(
@@ -1100,7 +1041,7 @@ let campaign_cmd =
       & info [ "hang-timeout" ] ~docv:"SEC"
           ~doc:
             "Kill a sharded worker silent for $(docv) seconds and requeue \
-             its lease (sharded path only).")
+             its lease (ignored at $(b,--shards 1)).")
   in
   let lease_deadline =
     Arg.(
@@ -1111,7 +1052,7 @@ let campaign_cmd =
             "Per-lease wall-clock budget: a sharded worker holding one \
              lease longer than $(docv) seconds is killed and the lease \
              retried; leases that keep blowing the deadline are \
-             quarantined, not fatal (sharded path only).")
+             quarantined, not fatal (ignored at $(b,--shards 1)).")
   in
   let alloc_budget =
     Arg.(
@@ -1121,12 +1062,12 @@ let campaign_cmd =
           ~doc:
             "Per-lease allocation budget in millions of words: a worker \
              allocating past it OOM-kills itself (exit 137) and the lease \
-             is retried, then quarantined (sharded path only).")
+             is retried, then quarantined (ignored at $(b,--shards 1)).")
   in
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run the six-fuzzer RQ1 comparison")
     Term.(
-      const campaign $ iterations $ jobs $ sample_every $ schedule
+      const campaign $ iterations $ sample_every $ schedule
       $ faults_term
       $ checkpoint $ resume $ bisect $ metrics_flag $ telemetry_flag
       $ status_flag $ shards $ opt_matrix $ hang_timeout $ lease_deadline

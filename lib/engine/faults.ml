@@ -1,6 +1,6 @@
 (* Deterministic fault injection.
 
-   Each harness owns eight independent draw streams, one per fault site.
+   Each harness owns seven independent draw streams, one per fault site.
    A draw at site S is a pure function of (harness seed, site, per-site
    draw index), NOT of a shared mutable RNG state — so the sequence of
    decisions a given site sees is independent of how draws at other
@@ -9,8 +9,8 @@
    not shift because a sibling worker consulted its own crash stream
    first.
 
-   The first four sites live inside one process (pipeline, compiler,
-   scheduler, checkpoint); the last four cross the process boundary and
+   The first three sites live inside one process (pipeline, compiler,
+   checkpoint); the last four cross the process boundary and
    are consulted by the shard layer (Engine.Shard): garbled frames,
    mid-frame stalls, worker OOM kills, and coordinator crash-restarts.
 
@@ -23,7 +23,6 @@
 type site =
   | Llm_throttle
   | Compile_hang
-  | Worker_crash
   | Io_failure
   | Frame_garble
   | Frame_stall
@@ -32,24 +31,25 @@ type site =
 
 let all_sites =
   [
-    Llm_throttle; Compile_hang; Worker_crash; Io_failure; Frame_garble;
-    Frame_stall; Worker_oom; Coordinator_crash;
+    Llm_throttle; Compile_hang; Io_failure; Frame_garble; Frame_stall;
+    Worker_oom; Coordinator_crash;
   ]
 
 let site_to_string = function
   | Llm_throttle -> "llm_throttle"
   | Compile_hang -> "compile_hang"
-  | Worker_crash -> "worker_crash"
   | Io_failure -> "io_failure"
   | Frame_garble -> "frame_garble"
   | Frame_stall -> "frame_stall"
   | Worker_oom -> "worker_oom"
   | Coordinator_crash -> "coordinator_crash"
 
+(* Index 2 belonged to a removed site.  The indices salt each site's
+   stream, so the survivors keep theirs: renumbering would move every
+   later stream and every faulted campaign with it. *)
 let site_index = function
   | Llm_throttle -> 0
   | Compile_hang -> 1
-  | Worker_crash -> 2
   | Io_failure -> 3
   | Frame_garble -> 4
   | Frame_stall -> 5
@@ -61,7 +61,6 @@ let site_count = 8
 type config = {
   llm_throttle : float;
   compile_hang : float;
-  worker_crash : float;
   io_failure : float;
   frame_garble : float;
   frame_stall : float;
@@ -73,7 +72,6 @@ let no_faults =
   {
     llm_throttle = 0.;
     compile_hang = 0.;
-    worker_crash = 0.;
     io_failure = 0.;
     frame_garble = 0.;
     frame_stall = 0.;
@@ -84,7 +82,6 @@ let no_faults =
 let rate (c : config) = function
   | Llm_throttle -> c.llm_throttle
   | Compile_hang -> c.compile_hang
-  | Worker_crash -> c.worker_crash
   | Io_failure -> c.io_failure
   | Frame_garble -> c.frame_garble
   | Frame_stall -> c.frame_stall
@@ -95,7 +92,6 @@ let with_rate (c : config) site r =
   match site with
   | Llm_throttle -> { c with llm_throttle = r }
   | Compile_hang -> { c with compile_hang = r }
-  | Worker_crash -> { c with worker_crash = r }
   | Io_failure -> { c with io_failure = r }
   | Frame_garble -> { c with frame_garble = r }
   | Frame_stall -> { c with frame_stall = r }
@@ -145,7 +141,7 @@ let draw (t : t) site k =
    shard count.  Their injections surface through the pool's supervision
    events instead; only the in-process sites log at the draw. *)
 let in_process_site = function
-  | Llm_throttle | Compile_hang | Worker_crash | Io_failure -> true
+  | Llm_throttle | Compile_hang | Io_failure -> true
   | Frame_garble | Frame_stall | Worker_oom | Coordinator_crash -> false
 
 let fire ?ctx (t : t) site =
@@ -169,14 +165,13 @@ let fire ?ctx (t : t) site =
 
 (* ------------------------------------------------------------------ *)
 (* Spec syntax:                                                        *)
-(*   "llm=0.2,hang=0.01,crash=0.05,io=0.02,frame=0.1,stall=0.05,       *)
-(*    oom=0.01,coord=0.02"                                             *)
+(*   "llm=0.2,hang=0.01,io=0.02,frame=0.1,stall=0.05,oom=0.01,         *)
+(*    coord=0.02"                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let key_of_site = function
   | Llm_throttle -> "llm"
   | Compile_hang -> "hang"
-  | Worker_crash -> "crash"
   | Io_failure -> "io"
   | Frame_garble -> "frame"
   | Frame_stall -> "stall"
@@ -186,7 +181,6 @@ let key_of_site = function
 let site_of_key = function
   | "llm" | "llm_throttle" -> Some Llm_throttle
   | "hang" | "compile_hang" -> Some Compile_hang
-  | "crash" | "worker_crash" -> Some Worker_crash
   | "io" | "io_failure" -> Some Io_failure
   | "frame" | "frame_garble" -> Some Frame_garble
   | "stall" | "frame_stall" -> Some Frame_stall

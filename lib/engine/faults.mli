@@ -1,12 +1,12 @@
 (** Deterministic fault-injection harness.
 
-    Any layer may consult a harness at one of eight {!site}s; the
+    Any layer may consult a harness at one of seven {!site}s; the
     decision stream per site is a pure function of (seed, site, draw
     index), so one site's decisions are independent of how other sites'
     draws interleave — the property that keeps faulted campaigns
-    byte-identical at any job count.
+    byte-identical at any shard count.
 
-    The first four sites live inside one process; the last four are the
+    The first three sites live inside one process; the last four are the
     shard layer's ({!Shard}) protocol- and resource-level chaos:
     garbled frames, mid-frame stalls, worker OOM kills, and coordinator
     crash-restarts.
@@ -18,7 +18,6 @@
 type site =
   | Llm_throttle  (** the §4 API throttle/timeout, a.k.a. [System_error] *)
   | Compile_hang  (** pathological mutant stalling the compiler *)
-  | Worker_crash  (** a scheduler domain dying mid-item *)
   | Io_failure    (** checkpoint write failing *)
   | Frame_garble  (** worker emits a corrupt frame instead of its Result *)
   | Frame_stall   (** worker stalls mid-frame, holding the connection *)
@@ -32,7 +31,6 @@ val site_to_string : site -> string
 type config = {
   llm_throttle : float;
   compile_hang : float;
-  worker_crash : float;
   io_failure : float;
   frame_garble : float;
   frame_stall : float;
@@ -61,10 +59,11 @@ val fire : ?ctx:Ctx.t -> t -> site -> bool
     [faults.injected.<site>]. *)
 
 val parse_spec : string -> (config, string) result
-(** ["llm=0.2,hang=0.01,crash=0.05,io=0.02,frame=0.1,stall=0.05,oom=0.01,coord=0.02"]
+(** ["llm=0.2,hang=0.01,io=0.02,frame=0.1,stall=0.05,oom=0.01,coord=0.02"]
     (long site names accepted); [""], ["off"] and ["none"] mean
-    {!no_faults}.  Legacy four-site specs parse to the same config as
-    before with the shard-layer rates at zero. *)
+    {!no_faults}.  An unknown site is an error; that includes [crash],
+    the removed in-process worker death ([oom] is the worker death the
+    pool injects). *)
 
 val spec_to_string : config -> string
 (** Canonical spec (["off"] for {!no_faults}); round-trips through

@@ -547,7 +547,12 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
     let alive () = List.filter (fun w -> w.w_alive) !workers in
     let parent_fds () = List.map (fun w -> w.w_conn.c_fd) (alive ()) in
     let spawn shard =
-      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      (* close-on-exec: a Spawn worker must not inherit its siblings'
+         coordinator ends, or after a coordinator death the workers
+         hold each other's sockets open and never see EOF *)
+      let a, b =
+        Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+      in
       let pid =
         match backend with
         | Fork -> (

@@ -12,8 +12,7 @@
     trips the circuit breaker by deterministically killing workers) is
     {!Quarantined} — recorded, skipped, campaign continues.  If no
     worker can be respawned the remaining leases run on the calling
-    process, so every lease reaches a verdict even if every worker dies
-    — the process-level mirror of {!Scheduler.supervised_map}.
+    process, so every lease reaches a verdict even if every worker dies.
 
     Chaos crosses the process boundary here: with a {!Faults} harness,
     the shard-layer sites ([frame_garble], [frame_stall], [worker_oom],

@@ -11,7 +11,7 @@
    artifacts (the trace, snapshot mtimes), never in checkpoint
    snapshots or RNG-visible state, so enabling --telemetry cannot
    change fuzz results.  GC and span values are machine-dependent;
-   [deterministic_snapshot] strips those families for the jobs:N
+   [deterministic_snapshot] strips those families for the shards:K
    invariance checks. *)
 
 type t = {
@@ -48,7 +48,7 @@ let prom_float v =
   else Fmt.str "%g" v
 
 (* HELP text is a pure function of the family name, so adding it keeps
-   every byte-identity contract (jobs:N, shards:K, resume) intact. *)
+   every byte-identity contract (shards:K, resume) intact. *)
 let prom_help name =
   let pre p = String.starts_with ~prefix:p name in
   if pre "compile." then "compile pipeline outcome and stage tallies"
@@ -63,7 +63,6 @@ let prom_help name =
     "deterministic fault injections fired at this site"
   else if pre "checkpoint." then "checkpoint store operation tally"
   else if pre "pipeline." then "MetaMut pipeline progress tally"
-  else if pre "scheduler." then "supervised scheduler tally"
   else if pre "telemetry." then "telemetry exporter bookkeeping (wall clock)"
   else if pre "bisect." then "culprit-pass bisection tally"
   else "metamut engine metric"

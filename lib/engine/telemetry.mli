@@ -12,7 +12,7 @@
     artifacts, never in checkpoint snapshots or RNG-visible state —
     enabling telemetry cannot change fuzz results.  Span and GC
     families are machine-dependent; {!deterministic_snapshot} strips
-    them for jobs:N invariance checks. *)
+    them for shards:K invariance checks. *)
 
 type t
 

@@ -1,10 +1,9 @@
-(* Sharded campaign coordinator: deal Campaign cells (optionally crossed
-   with -O levels) to an Engine.Shard worker pool and merge the pieces
-   back into one aggregated view.
+(* The campaign executor: deal Campaign cells (optionally crossed with
+   -O levels) to an Engine.Shard worker pool and merge the pieces back
+   into one aggregated view.
 
    Determinism is inherited, not re-proven: a unit's RNG stream, fault
-   stream, and coverage map are pure functions of (config, unit id) —
-   the same property Campaign.run relies on for job-count invariance —
+   stream, and coverage map are pure functions of (config, unit id),
    and every merge below walks the canonical unit list, never the
    completion order.  So shards:1 and shards:K produce byte-identical
    coverage, crash sets, and reports. *)
@@ -39,9 +38,9 @@ let units ?(fuzzers = Campaign.all_fuzzers)
         compilers)
     fuzzers
 
-(* Default-axis units reuse Campaign.run's snapshot paths and
-   fingerprints verbatim — that is what lets a sequential campaign
-   resume sharded (and back).  Opt units get level-suffixed names. *)
+(* Default-axis units use the Campaign cell paths and fingerprints
+   verbatim, so checkpoint directories from older releases still
+   resume.  Opt units get level-suffixed names. *)
 let unit_ckpt_file dir (u : unit_id) =
   match u.u_opt with
   | None -> Campaign.cell_ckpt_file dir (u.u_fuzzer, u.u_compiler)
@@ -57,8 +56,8 @@ let unit_done_file dir (u : unit_id) =
    — before the join barrier.  A coordinator killed mid-campaign loses
    at most the in-flight leases: on --resume, journaled units restore
    with full telemetry fidelity, and the rest recompute
-   deterministically.  The done file (Fuzz_result only, sequential
-   Campaign compatible) stays the cross-mode fallback. *)
+   deterministically.  The done file (Fuzz_result only) stays the
+   fallback when a journal is missing or unreadable. *)
 let unit_journal_file dir (u : unit_id) =
   Filename.concat dir ("journal-" ^ unit_name u ^ ".ckpt")
 
@@ -71,8 +70,8 @@ let unit_options (u : unit_id) =
     (fun l -> { Simcomp.Compiler.default_options with opt_level = l })
     u.u_opt
 
-(* The fault stream: default units hand run_one the root harness (so
-   their draws match Campaign.run exactly); opt units interpose one
+(* The fault stream: default units hand run_one the root harness (it
+   derives the per-cell stream itself); opt units interpose one
    per-level derivation so the same cell at -O0 and -O3 doesn't replay
    identical faults.  Both are pure in (root, unit), hence
    shard-count-invariant. *)
@@ -250,7 +249,7 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
   Option.iter Engine.Checkpoint.mkdir_p checkpoint;
   let fingerprint u = unit_fingerprint cfg ?faults u in
   (* journal first (full worker_result, telemetry intact), done file as
-     the sequential-compatible fallback *)
+     the fallback *)
   let restored, todo =
     match checkpoint with
     | Some dir when resume ->
@@ -478,9 +477,9 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
     Array.to_list (Array.mapi (fun i r -> (todo_arr.(i), r)) decoded)
   in
   (* join barrier: merge worker registries and traces into the main
-     context in canonical unit order — the Campaign.run join, one
-     process level up.  Journal-restored units carry their original
-     telemetry, so a resumed run's merge matches the uninterrupted one. *)
+     context in canonical unit order.  Journal-restored units carry
+     their original telemetry, so a resumed run's merge matches the
+     uninterrupted one. *)
   let wr_of =
     let tbl = Hashtbl.create 16 in
     List.iter

@@ -1,28 +1,25 @@
-(** Multi-process sharded campaigns: {!Campaign} cells dealt as leases
-    to an {!Engine.Shard} worker pool.
+(** The campaign executor: {!Campaign} cells dealt as leases to an
+    {!Engine.Shard} worker pool.
 
     The work unit is one campaign cell — (fuzzer, compiler), optionally
     crossed with a [-O] level ({!run}'s [opt_levels] axis).  Each unit
-    derives its own RNG stream, fault stream, and coverage map exactly
-    as {!Campaign.run_one} does, and the coordinator merges worker
-    registries, trace buffers, coverage, and crash sets in canonical
-    unit order — so coverage, crashes, and the campaign report are
-    byte-identical at any shard count ([shards:1 ≡ shards:K], the same
-    invariant the Domain scheduler upholds for [jobs]).
+    derives its own RNG stream, fault stream, and coverage map in
+    {!Campaign.run_one}, and the coordinator merges worker registries,
+    trace buffers, coverage, and crash sets in canonical unit order — so
+    coverage, crashes, and the campaign report are byte-identical at any
+    shard count ([shards:1 ≡ shards:K]).
 
-    Worker failure flows into the existing supervision story: a worker
-    that dies, hangs, or garbles a frame loses its lease back to the
-    queue ({!Engine.Shard.run_pool}), and with [checkpoint] the
-    default-axis units write the {e same} snapshot files as
-    {!Campaign.run}, so a campaign interrupted sequentially resumes
-    sharded and vice versa. *)
+    A worker that dies, hangs, or garbles a frame loses its lease back
+    to the queue ({!Engine.Shard.run_pool}).  With [checkpoint], every
+    unit writes stable snapshot, [done-] and [journal-] files, so a
+    campaign interrupted at one shard count resumes at any other. *)
 
 type unit_id = {
   u_fuzzer : Campaign.fuzzer_id;
   u_compiler : Simcomp.Compiler.compiler;
   u_opt : int option;
-      (** [-O] level; [None] = the campaign default ([-O2]) and the
-          unit is checkpoint-compatible with {!Campaign.run} *)
+      (** [-O] level; [None] = the campaign default ([-O2]), whose
+          checkpoint files use the plain {!Campaign.cell_name} stem *)
 }
 
 val unit_name : unit_id -> string
@@ -78,7 +75,8 @@ val run :
   unit ->
   t
 (** Run the unit matrix across [shards] worker processes (default 1 =
-    in-process sequential, the mode sharded runs are compared against).
+    inline on the calling process, the sequential reference that
+    sharded runs are compared against).
 
     Each lease carries the campaign config, the unit id, and the root
     fault harness; the worker executes it with a {e fresh}
@@ -86,8 +84,7 @@ val run :
     and trace buffer.  At the join the coordinator
     {!Engine.Metrics.merge}s registries and {!Engine.Trace.merge}s
     buffers (tagged {!unit_tag}, labelled {!unit_name}) into [engine]
-    in canonical unit order — the process-level mirror of
-    {!Campaign.run}'s Domain join barrier.  [engine] also receives the
+    in canonical unit order.  [engine] also receives the
     [shard.*] intervention counters, which stay silent in a healthy
     run, so merged registries are shard-count-invariant.
 
@@ -118,10 +115,10 @@ val run :
     With [checkpoint]/[resume], completed units are restored — journal
     files first (full [worker_result], written as each Result arrives
     at the coordinator, so a coordinator SIGKILL mid-campaign resumes
-    with telemetry intact), done-files as the sequential-compatible
+    with telemetry intact), [done-] files (the result alone) as the
     fallback — and interrupted μCFuzz units continue from their cell
-    snapshots; default-axis file names and fingerprints match
-    {!Campaign.run}'s exactly. *)
+    snapshots.  File names and fingerprints are stable across
+    releases, so older checkpoint directories still resume. *)
 
 val to_campaign : t -> Campaign.t
 (** View a default-axis run as a {!Campaign.t} (for the RQ1 table and

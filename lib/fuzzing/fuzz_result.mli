@@ -34,7 +34,7 @@ val compilable_ratio : t -> float
 val equal : t -> t -> bool
 (** Exact equality over every reported field (coverage bit-for-bit,
     crash tables as sorted bindings): the checkpoint/resume and
-    jobs-count determinism identity check. *)
+    shard-count determinism identity check. *)
 
 val crashes_by_stage : t -> (Simcomp.Crash.stage * int) list
 (** Crash histogram per compiler component (Table 4). *)

@@ -127,16 +127,12 @@ let mutator_section (m : Engine.Metrics.t) =
            rows)
   end
 
-(* Supervision/fault accounting: the counters the retry, scheduler,
+(* Supervision/fault accounting: the counters the retry, shard pool,
    checkpoint and watchdog layers only write when they intervened.  A
    healthy run renders the "no interventions" line. *)
 let recovery_section (m : Engine.Metrics.t) =
   let interesting =
     [
-      ("scheduler.retried", "per-item retries (supervised scheduler)");
-      ("scheduler.requeued", "items requeued after a worker death");
-      ("scheduler.worker_crashed", "worker domains that died");
-      ("scheduler.failed", "items that exhausted their retry budget");
       ("pipeline.retry.attempts", "pipeline retry attempts");
       ("pipeline.retry.recovered", "pipeline calls recovered by retrying");
       ("pipeline.retry.exhausted", "pipeline calls that exhausted retries");
@@ -320,15 +316,16 @@ let campaign ?engine ?attribution ?quarantined (t : Campaign.t) : string =
                (fun (cell, msg) -> Campaign.cell_name cell ^ ": " ^ msg)
                fs)
     in
-    (* no restored-from-checkpoint count here: a resumed run's report
-       must be byte-identical to the uninterrupted one; resume
-       accounting lives in the engine-gated recovery section *)
+    (* no restored-from-checkpoint count and no parallelism here: the
+       report is part of the resume and shards:1 ≡ shards:K byte-identity
+       contracts; resume accounting lives in the engine-gated recovery
+       section *)
     Fmt.str
-      "%d cells (%d failed); iterations=%d seeds=%d jobs=%d.%s"
+      "%d cells (%d failed); iterations=%d seeds=%d.%s"
       (List.length t.Campaign.results + List.length t.Campaign.failures)
       (List.length t.Campaign.failures)
       t.Campaign.config.Campaign.iterations t.Campaign.config.Campaign.seeds
-      t.Campaign.config.Campaign.jobs failures
+      failures
   in
   render ~title:"Campaign report" ~preamble ?engine ?attribution ?quarantined
     (List.map

@@ -1,7 +1,7 @@
 (* Tests for the execution engine: metrics registry (histogram bucket
    boundaries, snapshots, merge), event bus sinks (ring overflow,
-   metrics sink), spans, the Domain scheduler, and the campaign
-   determinism guarantee (jobs:1 ≡ jobs:4). *)
+   metrics sink), spans, the shard pool's supervision contract, and the
+   campaign determinism guarantee (shards:1 ≡ shards:4). *)
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -251,46 +251,6 @@ let vec_tests =
         check Alcotest.int "reusable" 7 (Engine.Vec.get v 0));
   ]
 
-let scheduler_tests =
-  [
-    tc "parallel_map preserves input order" (fun () ->
-        let items = List.init 37 Fun.id in
-        check
-          Alcotest.(list int)
-          "squares in order"
-          (List.map (fun x -> x * x) items)
-          (Engine.Scheduler.parallel_map ~jobs:4 (fun x -> x * x) items));
-    tc "parallel_map re-raises worker exceptions" (fun () ->
-        Alcotest.check_raises "first failure" (Failure "item-3") (fun () ->
-            ignore
-              (Engine.Scheduler.parallel_map ~jobs:3
-                 (fun x ->
-                   if x = 3 then failwith ("item-" ^ string_of_int x) else x)
-                 (List.init 8 Fun.id))));
-    tc "jobs:1 degrades to List.map" (fun () ->
-        check
-          Alcotest.(list int)
-          "identity" [ 1; 2; 3 ]
-          (Engine.Scheduler.parallel_map ~jobs:1 Fun.id [ 1; 2; 3 ]));
-    tc "try_map keeps completed results next to failures" (fun () ->
-        let out =
-          Engine.Scheduler.try_map ~jobs:3
-            (fun x -> if x = 3 then failwith "boom" else x * 2)
-            (List.init 6 Fun.id)
-        in
-        check
-          Alcotest.(list int)
-          "siblings survive" [ 0; 2; 4; 8; 10 ]
-          (List.filter_map
-             (function Ok v -> Some v | Error _ -> None)
-             out);
-        match List.nth out 3 with
-        | Error e ->
-          check Alcotest.string "exception kept" "Failure(\"boom\")"
-            (Printexc.to_string e)
-        | Ok _ -> Alcotest.fail "failing item must surface its own exception");
-  ]
-
 let counter_value ctx name =
   Engine.Metrics.counter_value
     (Engine.Metrics.counter ctx.Engine.Ctx.metrics name)
@@ -337,7 +297,7 @@ let faults_tests =
     tc "zero-rate sites never fire" (fun () ->
         let t = Engine.Faults.create ~seed:3 Engine.Faults.no_faults in
         check Alcotest.bool "silent" false
-          (List.mem true (stream t Engine.Faults.Worker_crash 100)));
+          (List.mem true (stream t Engine.Faults.Worker_oom 100)));
     tc "fired faults bump the injected counter" (fun () ->
         let ctx = Engine.Ctx.create () in
         let t =
@@ -350,7 +310,7 @@ let faults_tests =
         check Alcotest.int "counted" 5
           (counter_value ctx "faults.injected.compile_hang"));
     tc "spec parses, round-trips, and rejects junk" (fun () ->
-        (match Engine.Faults.parse_spec "llm=0.25,hang=0.5,crash=0,io=1" with
+        (match Engine.Faults.parse_spec "llm=0.25,hang=0.5,oom=0,io=1" with
         | Ok c ->
           check (Alcotest.float 1e-9) "llm" 0.25 c.Engine.Faults.llm_throttle;
           check (Alcotest.float 1e-9) "io" 1.0 c.Engine.Faults.io_failure;
@@ -385,16 +345,13 @@ let faults_tests =
         check Alcotest.bool "long names accepted" true
           (Engine.Faults.parse_spec "frame_garble=0.1,worker_oom=0.01"
           = Engine.Faults.parse_spec "frame=0.1,oom=0.01");
-        check Alcotest.int "eight sites" 8
+        check Alcotest.int "seven sites" 7
           (List.length Engine.Faults.all_sites));
-    tc "legacy four-site specs parse exactly as before" (fun () ->
-        match Engine.Faults.parse_spec "llm=0.2,hang=0.01,crash=0.05,io=0.02"
-        with
+    tc "legacy specs parse as before; crash= is an unknown site" (fun () ->
+        (match Engine.Faults.parse_spec "llm=0.2,hang=0.01,io=0.02" with
         | Ok c ->
           check (Alcotest.float 1e-9) "llm" 0.2 c.Engine.Faults.llm_throttle;
           check (Alcotest.float 1e-9) "hang" 0.01 c.Engine.Faults.compile_hang;
-          check (Alcotest.float 1e-9) "crash" 0.05
-            c.Engine.Faults.worker_crash;
           check (Alcotest.float 1e-9) "io" 0.02 c.Engine.Faults.io_failure;
           List.iter
             (fun site ->
@@ -404,11 +361,61 @@ let faults_tests =
             Engine.Faults.
               [ Frame_garble; Frame_stall; Worker_oom; Coordinator_crash ];
           (* the canonical string — and with it every fingerprint baked
-             into existing checkpoints — is unchanged by the new sites *)
+             into existing checkpoints — is unchanged *)
           check Alcotest.string "canonical spec unchanged"
-            "llm=0.2,hang=0.01,crash=0.05,io=0.02"
+            "llm=0.2,hang=0.01,io=0.02"
             (Engine.Faults.spec_to_string c)
         | Error e -> Alcotest.failf "legacy spec rejected: %s" e);
+        List.iter
+          (fun spec ->
+            match Engine.Faults.parse_spec spec with
+            | Error e ->
+              check Alcotest.bool (spec ^ " names the site") true
+                (Astring.String.is_infix ~affix:"unknown site" e)
+            | Ok _ -> Alcotest.failf "%s must be rejected" spec)
+          [ "crash=0.1"; "worker_crash=0.1"; "llm=0.2,crash=0.05" ];
+        (* the environment hook fails loudly too: CI must not run a
+           silently fault-free job *)
+        let saved = Sys.getenv_opt "METAMUT_FAULTS" in
+        Unix.putenv "METAMUT_FAULTS" "hang=0.05,crash=0.2";
+        let from_env =
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.putenv "METAMUT_FAULTS" (Option.value ~default:"" saved))
+            (fun () ->
+              match Engine.Faults.config_from_env () with
+              | _ -> None
+              | exception Invalid_argument msg -> Some msg)
+        in
+        match from_env with
+        | Some msg ->
+          check Alcotest.bool "METAMUT_FAULTS names the site" true
+            (Astring.String.is_infix ~affix:"unknown site \"crash\"" msg)
+        | None -> Alcotest.fail "METAMUT_FAULTS with crash= must raise");
+    tc "surviving sites keep their streams bit for bit" (fun () ->
+        (* first 64 decisions at seed 42, rate 0.5, recorded before the
+           in-process worker-crash site was removed: the site indices
+           that salt each stream must not move *)
+        let t =
+          Engine.Faults.create ~seed:42
+            {
+              Engine.Faults.no_faults with
+              Engine.Faults.io_failure = 0.5;
+              worker_oom = 0.5;
+            }
+        in
+        let bits site =
+          String.concat ""
+            (List.map
+               (fun b -> if b then "1" else "0")
+               (stream t site 64))
+        in
+        check Alcotest.string "io_failure"
+          "1010011011001010101011100101001011110111101110001010110111000110"
+          (bits Engine.Faults.Io_failure);
+        check Alcotest.string "worker_oom"
+          "0000100001111110010100001001110010110100100110001001010001110100"
+          (bits Engine.Faults.Worker_oom));
   ]
 
 let retry_tests =
@@ -498,126 +505,165 @@ let checkpoint_tests =
           (counter_value ctx "checkpoint.save_failed"));
   ]
 
+(* The shard pool's supervision contract.  Every case runs inline
+   (shards:1) and on three forked workers, and the verdicts must agree. *)
+let verdicts =
+  Alcotest.testable
+    (fun ppf (v : Engine.Shard.verdict) ->
+      match v with
+      | Done b -> Fmt.pf ppf "Done %S" b
+      | Failed m -> Fmt.pf ppf "Failed %S" m
+      | Quarantined { q_reason; q_attempts } ->
+        Fmt.pf ppf "Quarantined{%S after %d}" q_reason q_attempts)
+    ( = )
+  |> Alcotest.array
+
+let pool ~shards ?limits ?faults ?ctx ?on_event f leases =
+  Engine.Shard.run_pool ~shards ~backend:Engine.Shard.Fork ?limits ?faults
+    ?ctx ?on_event ~f leases
+
 let supervision_tests =
   [
     tc "flaky items recover behind the per-item barrier" (fun () ->
-        let tries = Array.init 5 (fun _ -> Atomic.make 0) in
-        let ctx = Engine.Ctx.create () in
-        let out =
-          Engine.Scheduler.supervised_map ~jobs:4 ~attempts:2 ~ctx
-            (fun i ->
-              if Atomic.fetch_and_add tries.(i) 1 = 0 then failwith "flake"
-              else i)
-            (List.init 5 Fun.id)
+        (* every lease fails its first attempt and succeeds on the retry *)
+        let f ~heartbeat:_ ~seq:_ ~attempt body =
+          if attempt = 0 then failwith "flake" else "ok:" ^ body
         in
-        check
-          Alcotest.(list int)
-          "all recovered" [ 0; 1; 2; 3; 4 ]
-          (List.filter_map Result.to_option out);
-        check Alcotest.int "retried" 5 (counter_value ctx "scheduler.retried");
-        check Alcotest.int "ok" 5 (counter_value ctx "scheduler.ok"));
+        let leases = Array.init 5 string_of_int in
+        let run shards =
+          let retries = ref 0 in
+          let on_event ~seq:_ = function
+            | Engine.Shard.Lease_retry _ -> incr retries
+            | _ -> ()
+          in
+          let r, _ = pool ~shards ~on_event f leases in
+          (r, !retries)
+        in
+        let seq_r, seq_retries = run 1 and par_r, par_retries = run 3 in
+        check verdicts "all recovered"
+          (Array.map (fun b -> Engine.Shard.Done ("ok:" ^ b)) leases)
+          seq_r;
+        check verdicts "shards:1 ≡ shards:3" seq_r par_r;
+        check Alcotest.int "one retry per lease inline" 5 seq_retries;
+        check Alcotest.int "one retry per lease pooled" 5 par_retries);
     tc "persistent failures surface without killing siblings" (fun () ->
-        let out =
-          Engine.Scheduler.supervised_map ~jobs:2 ~attempts:3
-            (fun x -> if x = 1 then failwith "dead" else x * 10)
-            [ 0; 1; 2 ]
+        let f ~heartbeat:_ ~seq:_ ~attempt:_ body =
+          if body = "1" then failwith "dead" else body ^ "0"
         in
-        (match List.nth out 1 with
-        | Error { Engine.Scheduler.e_exn; e_attempts } ->
-          check Alcotest.string "last exception" "Failure(\"dead\")"
-            (Printexc.to_string e_exn);
-          check Alcotest.int "attempts" 3 e_attempts
-        | Ok _ -> Alcotest.fail "expected a 3-attempt failure");
-        check
-          Alcotest.(list int)
-          "siblings fine" [ 0; 20 ]
-          (List.filter_map Result.to_option out));
+        let run shards =
+          fst
+            (pool ~shards
+               ~limits:{ Engine.Shard.default_limits with max_attempts = 3 }
+               f [| "0"; "1"; "2" |])
+        in
+        let seq_r = run 1 in
+        check verdicts "shards:1 ≡ shards:3" seq_r (run 3);
+        (match seq_r.(1) with
+        | Engine.Shard.Failed msg ->
+          check Alcotest.string "last exception" "Failure(\"dead\")" msg
+        | _ -> Alcotest.fail "expected a Failed verdict");
+        check verdicts "siblings fine"
+          [| Engine.Shard.Done "00"; Done "20" |]
+          [| seq_r.(0); seq_r.(2) |]);
     tc "injected worker deaths requeue every orphaned item" (fun () ->
-        let ctx = Engine.Ctx.create () in
-        let faults =
+        (* worker OOM kills at a rate that hits several first attempts
+           but lets every lease through within its attempt budget *)
+        let faults () =
           Engine.Faults.create ~seed:5
-            { Engine.Faults.no_faults with Engine.Faults.worker_crash = 1.0 }
+            { Engine.Faults.no_faults with Engine.Faults.worker_oom = 0.3 }
         in
-        let out =
-          Engine.Scheduler.supervised_map ~jobs:4 ~faults ~ctx
-            (fun x -> x + 1)
-            (List.init 9 Fun.id)
+        let leases = Array.init 9 string_of_int in
+        let run shards =
+          let ctx = Engine.Ctx.create () in
+          let r, stats =
+            pool ~shards ~faults:(faults ()) ~ctx
+              (fun ~heartbeat:_ ~seq:_ ~attempt:_ b -> b ^ "+1")
+              leases
+          in
+          (r, stats, counter_value ctx "shard.requeued")
         in
-        check
-          Alcotest.(list int)
-          "all items completed"
-          (List.init 9 (fun i -> i + 1))
-          (List.filter_map Result.to_option out);
-        check Alcotest.int "all four domains died" 4
-          (counter_value ctx "scheduler.worker_crashed");
-        check Alcotest.int "everything requeued" 9
-          (counter_value ctx "scheduler.requeued"));
+        let seq_r, seq_stats, seq_requeued = run 1 in
+        let par_r, par_stats, par_requeued = run 3 in
+        check verdicts "all items completed"
+          (Array.map (fun b -> Engine.Shard.Done (b ^ "+1")) leases)
+          seq_r;
+        check verdicts "shards:1 ≡ shards:3" seq_r par_r;
+        check Alcotest.bool "deaths injected" true
+          (seq_stats.Engine.Shard.st_died > 0);
+        (* the same per-(lease, attempt) streams kill the same attempts *)
+        check Alcotest.int "same deaths" seq_stats.Engine.Shard.st_died
+          par_stats.Engine.Shard.st_died;
+        check Alcotest.int "every death requeued"
+          seq_stats.Engine.Shard.st_died seq_requeued;
+        check Alcotest.int "same requeues" seq_requeued par_requeued);
     tc "healthy runs leave the registry untouched" (fun () ->
-        let ctx = Engine.Ctx.create () in
-        ignore
-          (Engine.Scheduler.supervised_map ~jobs:4 ~ctx
-             (fun x -> x)
-             (List.init 8 Fun.id));
-        check Alcotest.bool "metrics-silent" true
-          (Engine.Metrics.snapshot ctx.Engine.Ctx.metrics = []));
+        List.iter
+          (fun shards ->
+            let ctx = Engine.Ctx.create () in
+            ignore
+              (pool ~shards ~ctx
+                 (fun ~heartbeat:_ ~seq:_ ~attempt:_ b -> b)
+                 (Array.init 8 string_of_int));
+            check Alcotest.bool
+              (Fmt.str "metrics-silent at shards:%d" shards)
+              true
+              (Engine.Metrics.snapshot ctx.Engine.Ctx.metrics = []))
+          [ 1; 3 ]);
   ]
 
-(* The acceptance-criterion guarantee: a worker-parallel campaign must
-   reproduce the sequential per-cell results exactly. *)
+(* The acceptance-criterion guarantee: a campaign dealt to worker
+   processes reproduces the inline per-cell results exactly.  The runs
+   also differ in [cfg.jobs], which no longer schedules anything: the
+   pairs pin that the retained field stays inert. *)
+let small_campaign =
+  {
+    Fuzzing.Campaign.default_config with
+    iterations = 12;
+    seeds = 10;
+    sample_every = 4;
+    max_attempts = 4;
+  }
+
+let campaign ?(cfg = small_campaign) ?fuzzers ?engine ?faults ~jobs () =
+  Fuzzing.Coordinator.run
+    ~cfg:{ cfg with Fuzzing.Campaign.jobs }
+    ?fuzzers ?engine ?faults ~shards:jobs ~backend:Engine.Shard.Fork ()
+
 let determinism_tests =
   [
     tc "campaign jobs:1 and jobs:4 produce identical results" (fun () ->
-        let base =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 12;
-            seeds = 10;
-            sample_every = 4;
-            max_attempts = 4;
-          }
-        in
         let fingerprint jobs =
-          let t =
-            Fuzzing.Campaign.run
-              ~cfg:{ base with Fuzzing.Campaign.jobs }
-              ()
-          in
+          let t = campaign ~jobs () in
           List.map
-            (fun ((f, c), (r : Fuzzing.Fuzz_result.t)) ->
-              ( (Fuzzing.Campaign.fuzzer_tag f, Fuzzing.Campaign.compiler_tag c),
+            (fun (u, (r : Fuzzing.Fuzz_result.t)) ->
+              ( Fuzzing.Coordinator.unit_tag u,
                 ( List.sort compare
                     (Simcomp.Coverage.branch_ids r.Fuzzing.Fuzz_result.coverage),
                   List.sort compare (Fuzzing.Fuzz_result.crash_keys r),
                   r.Fuzzing.Fuzz_result.coverage_trend,
                   ( r.Fuzzing.Fuzz_result.total_mutants,
                     r.Fuzzing.Fuzz_result.compilable_mutants ) ) ))
-            t.Fuzzing.Campaign.results
+            t.Fuzzing.Coordinator.results
         in
         let seq = fingerprint 1 and par = fingerprint 4 in
+        check Alcotest.int "every cell" 12 (List.length seq);
         check Alcotest.bool "identical coverage/crash/trend sets" true
           (seq = par));
     tc "parallel metrics merge equals the sequential registry" (fun () ->
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 8;
-            seeds = 6;
-            sample_every = 4;
-            max_attempts = 4;
-          }
-        in
+        let cfg = { small_campaign with iterations = 8; seeds = 6 } in
         let counters jobs =
           let engine = Engine.Ctx.create () in
           ignore
-            (Fuzzing.Campaign.run
-               ~cfg:{ cfg with Fuzzing.Campaign.jobs }
-               ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ]
-               ~engine ());
+            (campaign ~cfg ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ] ~engine
+               ~jobs ());
           List.filter
             (function _, Engine.Metrics.Counter _ -> true | _ -> false)
             (Engine.Metrics.snapshot engine.Engine.Ctx.metrics)
         in
-        check Alcotest.bool "same counters" true (counters 1 = counters 2));
+        let seq = counters 1 in
+        check Alcotest.bool "compiles counted" true
+          (List.mem_assoc "compile.total" seq);
+        check Alcotest.bool "same counters" true (seq = counters 2));
     tc "faulted campaign is identical at any job count" (fun () ->
         (* the CI fault job raises these rates via METAMUT_FAULTS; the
            invariance must hold at whatever configuration is injected *)
@@ -628,37 +674,40 @@ let determinism_tests =
             {
               Engine.Faults.no_faults with
               Engine.Faults.compile_hang = 0.05;
-              worker_crash = 0.3;
+              worker_oom = 0.3;
             }
         in
-        let base =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 10;
-            seeds = 8;
-            sample_every = 4;
-            max_attempts = 4;
-          }
-        in
+        let cfg = { small_campaign with iterations = 10; seeds = 8 } in
         let run jobs =
           let faults =
             Engine.Faults.create ~seed:(Engine.Faults.seed_from_env ()) config
           in
-          (Fuzzing.Campaign.run
-             ~cfg:{ base with Fuzzing.Campaign.jobs }
-             ~faults ())
-            .Fuzzing.Campaign.results
+          campaign ~cfg ~faults ~jobs ()
         in
         let a = run 1 and b = run 4 in
-        check Alcotest.int "same cells" (List.length a) (List.length b);
+        let units (t : Fuzzing.Coordinator.t) =
+          List.map (fun (u, _) -> Fuzzing.Coordinator.unit_name u)
+            t.Fuzzing.Coordinator.results
+        in
+        let quarantined (t : Fuzzing.Coordinator.t) =
+          List.map
+            (fun (q : Fuzzing.Coordinator.quarantined_unit) ->
+              Fuzzing.Coordinator.unit_name q.Fuzzing.Coordinator.qu_unit)
+            t.Fuzzing.Coordinator.quarantined
+        in
+        check Alcotest.(list string) "same completed cells" (units a) (units b);
+        check Alcotest.(list string) "same quarantined cells" (quarantined a)
+          (quarantined b);
         List.iter2
-          (fun (c1, r1) (c2, r2) ->
-            check Alcotest.bool "same cell" true (c1 = c2);
+          (fun (u, r1) (_, r2) ->
             check Alcotest.bool
-              ("equal result for " ^ Fuzzing.Campaign.fuzzer_name (fst c1))
+              ("equal result for " ^ Fuzzing.Coordinator.unit_name u)
               true
               (Fuzzing.Fuzz_result.equal r1 r2))
-          a b);
+          a.Fuzzing.Coordinator.results b.Fuzzing.Coordinator.results;
+        check Alcotest.string "identical report"
+          (Fuzzing.Coordinator.report a)
+          (Fuzzing.Coordinator.report b));
   ]
 
 let mucfuzz_engine_tests =
@@ -735,7 +784,6 @@ let () =
       ("events", event_tests);
       ("spans", span_tests);
       ("vec", vec_tests);
-      ("scheduler", scheduler_tests);
       ("faults", faults_tests);
       ("retry", retry_tests);
       ("checkpoint", checkpoint_tests);

@@ -1,6 +1,6 @@
 (* Tests for the fuzzing layer: seeds, the fragility model, μCFuzz
-   (Algorithm 1), the baselines, the macro fuzzer, and the campaign
-   driver. *)
+   (Algorithm 1), the baselines, the macro fuzzer, and campaigns run
+   through the coordinator. *)
 
 open Cparse
 
@@ -355,31 +355,47 @@ let macro_tests =
         check Alcotest.int "all dropped" 0 r.Fuzzing.Fuzz_result.total_mutants);
   ]
 
+(* Campaigns run through the one executor, Coordinator.run; each test
+   compares the inline reference (shards:1) against forked workers. *)
+let campaign ?fuzzers ?faults ?checkpoint ?resume ~shards cfg =
+  Fuzzing.Coordinator.run ~cfg ?fuzzers ?faults ?checkpoint ?resume ~shards
+    ~backend:Engine.Shard.Fork ()
+
+let same_results (a : Fuzzing.Coordinator.t) (b : Fuzzing.Coordinator.t) =
+  check Alcotest.int "same cell count"
+    (List.length a.Fuzzing.Coordinator.results)
+    (List.length b.Fuzzing.Coordinator.results);
+  List.iter2
+    (fun (u1, r1) (u2, r2) ->
+      check Alcotest.bool "same cell" true (u1 = u2);
+      check Alcotest.bool
+        ("equal result for " ^ Fuzzing.Coordinator.unit_name u1)
+        true
+        (Fuzzing.Fuzz_result.equal r1 r2))
+    a.Fuzzing.Coordinator.results b.Fuzzing.Coordinator.results
+
 let campaign_tests =
+  let small =
+    {
+      Fuzzing.Campaign.default_config with
+      iterations = 8;
+      seeds = 6;
+      sample_every = 4;
+      max_attempts = 4;
+    }
+  in
   [
     tc "campaign produces one result per fuzzer and compiler" (fun () ->
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 12;
-            seeds = 10;
-            sample_every = 4;
-            max_attempts = 4;
-          }
-        in
-        let t = Fuzzing.Campaign.run ~cfg () in
-        check Alcotest.int "results" 12 (List.length t.Fuzzing.Campaign.results));
+        let cfg = { small with iterations = 12; seeds = 10 } in
+        let t = Fuzzing.Coordinator.to_campaign (campaign ~shards:2 cfg) in
+        check Alcotest.int "results" 12
+          (List.length t.Fuzzing.Campaign.results));
     tc "crash sets are prefixed by compiler" (fun () ->
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 10;
-            seeds = 8;
-            sample_every = 5;
-            max_attempts = 4;
-          }
+        let cfg = { small with iterations = 10; seeds = 8; sample_every = 5 } in
+        let t =
+          Fuzzing.Coordinator.to_campaign
+            (campaign ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_s ] ~shards:1 cfg)
         in
-        let t = Fuzzing.Campaign.run ~cfg ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_s ] () in
         Hashtbl.iter
           (fun k () ->
             check Alcotest.bool "prefixed" true
@@ -391,88 +407,65 @@ let campaign_tests =
           [ "uCFuzz.s"; "uCFuzz.u"; "AFL++"; "GrayC"; "Csmith"; "YARPGen" ]
           (List.map Fuzzing.Campaign.fuzzer_name Fuzzing.Campaign.all_fuzzers));
     tc "worker-crash faults do not change results" (fun () ->
-        (* deaths strike between items, so supervision must requeue and
-           reproduce the fault-free campaign exactly *)
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 8;
-            seeds = 6;
-            sample_every = 4;
-            max_attempts = 4;
-            jobs = 3;
-          }
-        in
+        (* injected worker OOM kills strike before a lease runs, so the
+           pool requeues it whole: every unit that completes equals the
+           fault-free campaign, at any shard count *)
         let fuzzers = Fuzzing.Campaign.[ MuCFuzz_u; AFLpp ] in
-        let clean = Fuzzing.Campaign.run ~cfg ~fuzzers () in
-        let faults =
-          Engine.Faults.create ~seed:5
-            { Engine.Faults.no_faults with Engine.Faults.worker_crash = 1.0 }
+        let clean = campaign ~fuzzers ~shards:1 small in
+        let faulted shards =
+          let faults =
+            Engine.Faults.create ~seed:5
+              { Engine.Faults.no_faults with Engine.Faults.worker_oom = 0.3 }
+          in
+          campaign ~fuzzers ~faults ~shards small
         in
-        let faulted = Fuzzing.Campaign.run ~cfg ~fuzzers ~faults () in
+        let f1 = faulted 1 and f3 = faulted 3 in
+        check Alcotest.bool "deaths injected" true
+          (f3.Fuzzing.Coordinator.shard_stats.Engine.Shard.st_died > 0);
         check Alcotest.int "no failures" 0
-          (List.length faulted.Fuzzing.Campaign.failures);
-        List.iter2
-          (fun (c1, r1) (c2, r2) ->
-            check Alcotest.bool "same cell" true (c1 = c2);
-            check Alcotest.bool "equal result" true
-              (Fuzzing.Fuzz_result.equal r1 r2))
-          clean.Fuzzing.Campaign.results faulted.Fuzzing.Campaign.results);
+          (List.length f3.Fuzzing.Coordinator.failures);
+        same_results f1 f3;
+        List.iter
+          (fun (u, r) ->
+            check Alcotest.bool
+              ("completed unit equals the clean run: "
+              ^ Fuzzing.Coordinator.unit_name u)
+              true
+              (Fuzzing.Fuzz_result.equal r
+                 (List.assoc u clean.Fuzzing.Coordinator.results)))
+          f3.Fuzzing.Coordinator.results);
     tc "scheduled campaigns are identical across job counts" (fun () ->
         (* corpus scheduling lives inside each cell's private RNG and
-           pool, so parallelism must not perturb it *)
+           pool, so parallelism must not perturb it; [jobs] varies with
+           the shard count and must stay inert *)
         let cfg jobs =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 10;
-            seeds = 8;
-            sample_every = 4;
-            max_attempts = 4;
-            schedule = true;
-            jobs;
-          }
+          { small with iterations = 10; seeds = 8; schedule = true; jobs }
         in
         let fuzzers = Fuzzing.Campaign.[ MuCFuzz_s; MuCFuzz_u ] in
-        let serial = Fuzzing.Campaign.run ~cfg:(cfg 1) ~fuzzers () in
-        let par = Fuzzing.Campaign.run ~cfg:(cfg 4) ~fuzzers () in
-        List.iter2
-          (fun (c1, r1) (c2, r2) ->
-            check Alcotest.bool "same cell" true (c1 = c2);
-            check Alcotest.bool "equal result" true
-              (Fuzzing.Fuzz_result.equal r1 r2))
-          serial.Fuzzing.Campaign.results par.Fuzzing.Campaign.results);
+        same_results
+          (campaign ~fuzzers ~shards:1 (cfg 1))
+          (campaign ~fuzzers ~shards:4 (cfg 4)));
     tc "campaign resume reproduces the uninterrupted result" (fun () ->
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 10;
-            seeds = 8;
-            sample_every = 4;
-            max_attempts = 4;
-            jobs = 2;
-          }
-        in
+        let cfg = { small with iterations = 10; seeds = 8 } in
         let fuzzers = Fuzzing.Campaign.[ MuCFuzz_u; Csmith ] in
-        let full = Fuzzing.Campaign.run ~cfg ~fuzzers () in
+        let full = campaign ~fuzzers ~shards:1 cfg in
         let dir = Filename.temp_dir "metamut-campaign" "" in
-        let first = Fuzzing.Campaign.run ~cfg ~fuzzers ~checkpoint:dir () in
+        let first = campaign ~fuzzers ~checkpoint:dir ~shards:2 cfg in
         check Alcotest.int "first run computes everything" 0
-          first.Fuzzing.Campaign.resumed_cells;
-        (* simulate a crash that lost one completed cell's result *)
-        Sys.remove (Filename.concat dir "done-uCFuzz.u-GCC.ckpt");
+          first.Fuzzing.Coordinator.resumed_units;
+        (* simulate a crash that lost one completed cell's result: both
+           its done- file and its journal *)
+        List.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          [ "done-uCFuzz.u-GCC.ckpt"; "journal-uCFuzz.u-GCC.ckpt" ];
         let resumed =
-          Fuzzing.Campaign.run ~cfg ~fuzzers ~checkpoint:dir ~resume:true ()
+          campaign ~fuzzers ~checkpoint:dir ~resume:true ~shards:4 cfg
         in
         check Alcotest.int "three cells restored" 3
-          resumed.Fuzzing.Campaign.resumed_cells;
+          resumed.Fuzzing.Coordinator.resumed_units;
         check Alcotest.int "no failures" 0
-          (List.length resumed.Fuzzing.Campaign.failures);
-        List.iter2
-          (fun (c1, r1) (c2, r2) ->
-            check Alcotest.bool "same cell" true (c1 = c2);
-            check Alcotest.bool "equal result" true
-              (Fuzzing.Fuzz_result.equal r1 r2))
-          full.Fuzzing.Campaign.results resumed.Fuzzing.Campaign.results);
+          (List.length resumed.Fuzzing.Coordinator.failures);
+        same_results full resumed);
   ]
 
 let report_tests =

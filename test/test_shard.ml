@@ -3,8 +3,7 @@
    the worker pool (shards:1 ≡ shards:K, death-mid-lease requeue,
    deterministic failures), the sharded campaign coordinator
    (shards:1 ≡ shards:4 byte-identical report, opt-matrix determinism,
-   checkpoint compatibility with Campaign.run), and Status TTY
-   ownership. *)
+   resume from done- files alone), and Status TTY ownership. *)
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -433,7 +432,6 @@ let small_cfg =
     iterations = 60;
     seeds = 12;
     sample_every = 15;
-    jobs = 1;
   }
 
 let some_fuzzers = Fuzzing.Campaign.[ MuCFuzz_s; AFLpp ]
@@ -528,37 +526,39 @@ let coordinator_tests =
           (cov (u 0) <> cov (u 2)));
     tc "checkpoint files are Campaign-compatible: sequential save, \
         sharded resume" (fun () ->
-        let dir =
+        (* done- files hold the result alone, under the stable cell
+           names; with every journal removed they must still restore
+           each unit, in both directions between shard counts *)
+        let tmp suffix =
           Filename.concat (Filename.get_temp_dir_name ())
-            (Fmt.str "metamut-shard-ckpt-%d" (Unix.getpid ()))
+            (Fmt.str "metamut-shard-ckpt-%d%s" (Unix.getpid ()) suffix)
         in
-        let seq =
-          Fuzzing.Campaign.run ~cfg:small_cfg ~fuzzers:some_fuzzers
-            ~checkpoint:dir ()
+        let drop_journals dir =
+          Array.iter
+            (fun f ->
+              if String.starts_with ~prefix:"journal-" f then
+                Sys.remove (Filename.concat dir f))
+            (Sys.readdir dir)
         in
-        (* every cell completed sequentially; the sharded coordinator
-           must restore all of them from Campaign.run's own files *)
-        let resumed =
-          run_coordinator ~shards:2 ~checkpoint:dir ~resume:true ()
+        let round_trip ~save ~resume dir =
+          let saved = run_coordinator ~shards:save ~checkpoint:dir () in
+          drop_journals dir;
+          let resumed =
+            run_coordinator ~shards:resume ~checkpoint:dir ~resume:true ()
+          in
+          check Alcotest.int
+            (Fmt.str "all units restored (shards %d -> %d)" save resume)
+            (List.length saved.Fuzzing.Coordinator.results)
+            resumed.Fuzzing.Coordinator.resumed_units;
+          List.iter2
+            (fun (_, r_saved) (_, r_resumed) ->
+              check result_testable "restored result" r_saved r_resumed)
+            saved.Fuzzing.Coordinator.results
+            resumed.Fuzzing.Coordinator.results
         in
-        check Alcotest.int "all units restored"
-          (List.length seq.Fuzzing.Campaign.results)
-          resumed.Fuzzing.Coordinator.resumed_units;
-        List.iter2
-          (fun (_, r_seq) (_, r_sh) ->
-            check result_testable "restored result" r_seq r_sh)
-          seq.Fuzzing.Campaign.results resumed.Fuzzing.Coordinator.results;
-        (* and a fresh sharded run writes files a sequential campaign
-           can restore *)
-        let dir2 = dir ^ "-b" in
-        let sh = run_coordinator ~shards:2 ~checkpoint:dir2 () in
-        let seq2 =
-          Fuzzing.Campaign.run ~cfg:small_cfg ~fuzzers:some_fuzzers
-            ~checkpoint:dir2 ~resume:true ()
-        in
-        check Alcotest.int "sequential restored sharded files"
-          (List.length sh.Fuzzing.Coordinator.results)
-          seq2.Fuzzing.Campaign.resumed_cells;
+        let dir = tmp "" and dir2 = tmp "-b" in
+        round_trip ~save:1 ~resume:4 dir;
+        round_trip ~save:2 ~resume:1 dir2;
         List.iter
           (fun d ->
             Array.iter

@@ -2,7 +2,7 @@
    Chrome trace buffer and its JSON rendering (golden, under a fake
    clock), Prometheus/JSON snapshot exporters (golden + round-trip
    parse), GC probes, the live status line, the final-trend-sample rule,
-   and jobs:N invariance of the deterministic telemetry snapshot. *)
+   and shards:K invariance of the deterministic telemetry snapshot. *)
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -373,7 +373,7 @@ let trend_tail_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry attach / flush / finalize and jobs:N invariance           *)
+(* Telemetry attach / flush / finalize and shards:K invariance         *)
 (* ------------------------------------------------------------------ *)
 
 let temp_dir name =
@@ -419,6 +419,8 @@ let telemetry_tests =
           (Engine.Event.Coverage_sampled { iteration = 2; covered = 6 });
         check Alcotest.int "sink detached" before (flushes ()));
     tc "merged telemetry is identical at jobs:1 and jobs:4" (fun () ->
+        (* the shard count follows [jobs], which must stay inert: neither
+           the registry nor campaign-report.md may depend on it *)
         let cfg =
           {
             Fuzzing.Campaign.default_config with
@@ -432,14 +434,22 @@ let telemetry_tests =
           let engine = Engine.Ctx.create () in
           ignore (Engine.Ctx.enable_trace engine);
           ignore (Engine.Ctx.enable_probe engine);
-          ignore
-            (Fuzzing.Campaign.run
-               ~cfg:{ cfg with Fuzzing.Campaign.jobs }
-               ~engine ());
-          Engine.Telemetry.deterministic_snapshot engine.Engine.Ctx.metrics
+          let t =
+            Fuzzing.Coordinator.run
+              ~cfg:{ cfg with Fuzzing.Campaign.jobs }
+              ~engine ~shards:jobs ~backend:Engine.Shard.Fork ()
+          in
+          ( Engine.Telemetry.deterministic_snapshot engine.Engine.Ctx.metrics,
+            Fuzzing.Coordinator.report t )
         in
+        let seq, seq_report = snapshot 1 in
+        let par, par_report = snapshot 4 in
+        check Alcotest.bool "workers shipped their registries" true
+          (List.mem_assoc "compile.total" seq);
         check Alcotest.bool "identical deterministic snapshots" true
-          (snapshot 1 = snapshot 4));
+          (seq = par);
+        check Alcotest.string "identical campaign-report.md" seq_report
+          par_report);
     tc "campaign report renders the load-bearing sections" (fun () ->
         let cfg =
           {
@@ -448,16 +458,15 @@ let telemetry_tests =
             seeds = 6;
             sample_every = 4;
             max_attempts = 4;
-            jobs = 1;
           }
         in
         let engine = Engine.Ctx.create () in
         let t =
-          Fuzzing.Campaign.run ~cfg
+          Fuzzing.Coordinator.run ~cfg
             ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ]
-            ~engine ()
+            ~engine ~shards:1 ()
         in
-        let md = Fuzzing.Run_report.campaign ~engine t in
+        let md = Fuzzing.Coordinator.report ~engine t in
         List.iter
           (fun affix ->
             check Alcotest.bool affix true
@@ -624,7 +633,7 @@ let log_tests =
         check (Alcotest.list Alcotest.string) "golden lines" expected lines);
     tc "rendered body is emission-interleaving-invariant" (fun () ->
         (* two logs with the same per-scope streams in different global
-           interleavings (jobs:1 vs jobs:K) render identically *)
+           interleavings (shards:1 vs shards:K) render identically *)
         let a = Engine.Log.create () in
         Engine.Log.record a ~scope:"u1" ~level:Engine.Log.Info ~event:"x" [];
         Engine.Log.record a ~scope:"u2" ~level:Engine.Log.Info ~event:"y" [];
