@@ -38,6 +38,47 @@ if [ -x "$CLI" ]; then
   echo "campaign --jobs 2 exits non-zero"
 fi
 
+echo "== smoke: bad input fails with a diagnostic =="
+# Malformed programs, fault specs and mutator names must each print a
+# one-line diagnostic and exit non-zero, never cmdliner's exit-125
+# "internal error, uncaught exception" banner.
+if [ -x "$CLI" ]; then
+  BAD=$(mktemp -d)
+  printf 'int main(void) { return undeclared; }\n' > "$BAD/type.c"
+  printf 'int main( {\n' > "$BAD/parse.c"
+  # usage: bad_input LABEL EXPECTED-STDERR-TEXT COMMAND...
+  bad_input() {
+    LABEL=$1
+    EXPECT=$2
+    shift 2
+    set +e
+    "$@" > /dev/null 2> "$BAD/err"
+    RC=$?
+    set -e
+    if [ "$RC" -eq 0 ] || [ "$RC" -eq 125 ] \
+        || grep -q 'internal error' "$BAD/err" \
+        || ! grep -q -- "$EXPECT" "$BAD/err"; then
+      echo "FAIL: $LABEL exited $RC without the expected diagnostic" >&2
+      cat "$BAD/err" >&2
+      exit 1
+    fi
+    echo "$LABEL: exit $RC, $(head -n 1 "$BAD/err")"
+  }
+  bad_input "compile --emit-ir (type error)" "undeclared" \
+    "$CLI" compile --emit-ir "$BAD/type.c"
+  bad_input "compile --emit-ir (parse error)" "expected" \
+    "$CLI" compile --emit-ir "$BAD/parse.c"
+  bad_input "--faults crash=0.1" "--faults" \
+    "$CLI" fuzz -n 3 --faults crash=0.1
+  bad_input "METAMUT_FAULTS=crash=0.1" "METAMUT_FAULTS" \
+    env METAMUT_FAULTS=crash=0.1 "$CLI" fuzz -n 3
+  bad_input "METAMUT_FAULT_SEED=abc" "METAMUT_FAULT_SEED" \
+    env METAMUT_FAULT_SEED=abc "$CLI" fuzz -n 3
+  bad_input "mutate -m NoSuch" "NoSuch" \
+    "$CLI" mutate -m NoSuch "$BAD/type.c"
+  rm -rf "$BAD"
+fi
+
 echo "== smoke: faulted campaign determinism across shard counts =="
 if [ -x "$CLI" ]; then
   FAULTS="hang=0.05,oom=0.2"

@@ -260,27 +260,32 @@ let faults_term =
             "Seed of the fault-decision streams (default \
              $(b,METAMUT_FAULT_SEED), or 0).")
   in
+  (* a malformed spec or variable is a one-line usage error naming the
+     flag or variable, never a silent fallback *)
   let make spec fseed =
-    let config =
-      match spec with
-      | Some s -> (
-        match Engine.Faults.parse_spec s with
-        | Ok c -> Some c
-        | Error e -> Fmt.failwith "--faults: %s" e)
-      | None -> Engine.Faults.config_from_env ()
-    in
-    match config with
-    | None -> None
-    | Some c when c = Engine.Faults.no_faults -> None
-    | Some c ->
+    match
+      let config =
+        match spec with
+        | Some s -> (
+          match Engine.Faults.parse_spec s with
+          | Ok c -> Some c
+          | Error e -> invalid_arg ("--faults: " ^ e))
+        | None -> Engine.Faults.config_from_env ()
+      in
       let seed =
         match fseed with
         | Some s -> s
         | None -> Engine.Faults.seed_from_env ()
       in
-      Some (Engine.Faults.create ~seed c)
+      match config with
+      | None -> None
+      | Some c when c = Engine.Faults.no_faults -> None
+      | Some c -> Some (Engine.Faults.create ~seed c)
+    with
+    | faults -> Ok faults
+    | exception Invalid_argument msg -> Error (`Msg msg)
   in
-  Term.(const make $ spec $ fseed)
+  Term.(term_result ~usage:false (const make $ spec $ fseed))
 
 (* ------------------------------------------------------------------ *)
 (* list-mutators                                                       *)
@@ -319,7 +324,9 @@ let mutate file mutator_name seed =
     | Some n -> (
       match Mutators.Registry.find_opt n with
       | Some m -> m
-      | None -> Fmt.failwith "unknown mutator %s" n)
+      | None ->
+        Fmt.epr "metamut: -m: unknown mutator %s (see list-mutators)@." n;
+        exit 1)
     | None -> Cparse.Rng.choose rng Mutators.Registry.core
   in
   match Mutators.Mutator.apply_src m ~rng src with
@@ -407,7 +414,9 @@ let compile file compiler options dump_ir emit_ir =
   let dumping = dump_ir <> Simcomp.Compiler.Dump_none in
   if emit_ir || dumping then begin
     match Simcomp.Compiler.compile_passes compiler options src with
-    | Error e -> Fmt.failwith "%s" e
+    | Error e ->
+      Fmt.epr "%s@." e;
+      exit 1
     | Ok tr ->
       List.iter
         (fun (st : Simcomp.Compiler.pass_step) ->

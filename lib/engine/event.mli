@@ -24,7 +24,6 @@ type t =
       (** MetaMut validation goal hit, and whether the fix succeeded *)
   | Custom of string
 
-val kind_name : t -> string
 val to_string : t -> string
 
 type sink = { sink_name : string; emit : t -> unit }
@@ -48,9 +47,6 @@ val ring_contents : ring -> t list
 
 val text_sink : out:(string -> unit) -> sink
 (** Line-oriented sink: one rendered line per event. *)
-
-val metrics_sink : Metrics.t -> sink
-(** Counts events by kind into ["event.<kind>"] counters. *)
 
 type bus
 

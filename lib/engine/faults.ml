@@ -238,7 +238,11 @@ let config_from_env () : config option =
 let seed_from_env () : int =
   match Sys.getenv_opt "METAMUT_FAULT_SEED" with
   | None -> 0
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 0)
+  | Some s when String.trim s = "" -> 0
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n -> n
+    | None -> invalid_arg (Fmt.str "METAMUT_FAULT_SEED: %S is not an integer" s))
 
 let from_env () : t option =
   Option.map (fun c -> create ~seed:(seed_from_env ()) c) (config_from_env ())

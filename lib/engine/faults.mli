@@ -77,7 +77,8 @@ val config_from_env : unit -> config option
     [Invalid_argument] — CI must not silently run fault-free). *)
 
 val seed_from_env : unit -> int
-(** [METAMUT_FAULT_SEED], default 0. *)
+(** [METAMUT_FAULT_SEED] (unset/empty → 0; not an integer → raises
+    [Invalid_argument], like {!config_from_env}). *)
 
 val from_env : unit -> t option
 (** Harness from both variables, when [METAMUT_FAULTS] is set. *)

@@ -10,7 +10,7 @@
    timing-dependent — which the scope grouping erases.
 
    Phases order records within a scope: phase 0 is the unit body (what
-   the cell itself logged, merged in at the join barrier), phase 1 is
+   the cell itself logged), phase 1 is
    supervision (verdicts, requeues, journal saves logged by the
    coordinator as they commit).  Sorting by phase makes the inline
    degenerate pool and the multi-process pool render identically even
@@ -67,15 +67,6 @@ let record (t : t) ?scope ?(phase = 0) ~level ~event fields =
         lr_phase = phase;
         lr_fields = fields;
       }
-
-(* Append a worker buffer; the barrier overrides the scope because the
-   worker logged under its private default (the empty driver scope). *)
-let merge ~into:(dst : t) ?scope (src : t) =
-  Vec.iter
-    (fun (r : record) ->
-      let lr_scope = Option.value ~default:r.lr_scope scope in
-      Vec.push dst.records { r with lr_scope })
-    src.records
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

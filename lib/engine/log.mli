@@ -27,8 +27,7 @@ val create : ?level:level -> unit -> t
 
 val level : t -> level
 val set_scope : t -> string -> unit
-(** Scope stamped on subsequently emitted records (mirrors
-    {!Trace.set_tid}). *)
+(** Scope stamped on subsequently emitted records. *)
 
 val enabled : t -> level -> bool
 val length : t -> int
@@ -44,10 +43,6 @@ val record :
   unit
 (** Emit one record; dropped when below the logger's level.  [scope]
     defaults to the current scope, [phase] to 0. *)
-
-val merge : into:t -> ?scope:string -> t -> unit
-(** Append [src]'s records, overriding their scope when given (the join
-    barrier stamps the worker's canonical cell name). *)
 
 val record_to_json : seq:int -> record -> string
 (** One JSON object, no trailing newline.  All field values render as

@@ -17,14 +17,12 @@ type span_rec = {
 }
 
 type t = {
-  mutable cur_tid : int;  (* tid stamped on subsequently recorded spans *)
+  tid : int;  (* tid stamped on recorded spans *)
   spans : span_rec Vec.t;
   mutable labels : (int * string) list;  (* tid -> display name *)
 }
 
-let create ?(tid = 0) () = { cur_tid = tid; spans = Vec.create (); labels = [] }
-
-let set_tid (t : t) tid = t.cur_tid <- tid
+let create ?(tid = 0) () = { tid; spans = Vec.create (); labels = [] }
 
 let label_tid (t : t) ~tid ~label =
   if not (List.mem_assoc tid t.labels) then
@@ -32,14 +30,14 @@ let label_tid (t : t) ~tid ~label =
 
 let record (t : t) ~name ~ts_ns ~dur_ns =
   Vec.push t.spans
-    { sr_name = name; sr_ts_ns = ts_ns; sr_dur_ns = dur_ns; sr_tid = t.cur_tid }
+    { sr_name = name; sr_ts_ns = ts_ns; sr_dur_ns = dur_ns; sr_tid = t.tid }
 
 let length (t : t) = Vec.length t.spans
 let spans (t : t) = Vec.to_list t.spans
 
 (* Append a worker buffer, retagging its spans with the worker's stable
-   tid (the worker recorded under its own [cur_tid], usually the same
-   value, but the barrier is authoritative). *)
+   tid (the worker recorded under its own [tid], usually the same value,
+   but the barrier is authoritative). *)
 let merge ~into:(dst : t) ?tid (src : t) =
   Vec.iter
     (fun (r : span_rec) ->

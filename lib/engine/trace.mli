@@ -17,11 +17,7 @@ type span_rec = {
 type t
 
 val create : ?tid:int -> unit -> t
-(** Empty buffer; spans record under [tid] (default 0) until {!set_tid}. *)
-
-val set_tid : t -> int -> unit
-(** Change the tid stamped on subsequently recorded spans (sequential
-    campaigns re-tag one shared buffer per cell). *)
+(** Empty buffer; spans record under [tid] (default 0). *)
 
 val label_tid : t -> tid:int -> label:string -> unit
 (** Attach a display name to a tid (rendered as a [thread_name]

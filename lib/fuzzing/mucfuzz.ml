@@ -179,13 +179,6 @@ let pick_entry (st : state) =
     else Engine.Vec.get st.pool (Rng.int st.rng n)
   end
 
-(* The batch handle pre-resolves everything [compile_cached] would
-   recompute per mutant (fingerprint salt, optional args).  Rebuilt
-   whenever cache or faults are replaced wholesale (checkpoint
-   resume). *)
-let make_batch ~cache ~cov ~engine ~faults compiler options =
-  Simcomp.Compiler.batch_create ~cache ~cov ~engine ?faults compiler options
-
 let mutator_counters (st : state) (m : Mutators.Mutator.t) =
   let name = m.Mutators.Mutator.name in
   match Hashtbl.find_opt st.per_mutator name with
@@ -249,7 +242,9 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
       pool = Engine.Vec.of_list pool;
       scratch;
       cache;
-      batch = make_batch ~cache ~cov:scratch ~engine ~faults compiler options;
+      batch =
+        Simcomp.Compiler.batch_create ~cache ~cov:scratch ~engine ?faults
+          compiler options;
       faults;
       sched_top = Bytes.make (Simcomp.Coverage.map_size * 2) '\xFF';
       sched_scratch = Engine.Vec.create ();
@@ -484,8 +479,8 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
         st.cache <- sn.sn_cache;
         st.faults <- sn.sn_faults;
         st.batch <-
-          make_batch ~cache:st.cache ~cov:st.scratch ~engine:st.engine
-            ~faults:st.faults st.compiler st.options;
+          Simcomp.Compiler.batch_create ~cache:st.cache ~cov:st.scratch
+            ~engine:st.engine ?faults:st.faults st.compiler st.options;
         Engine.Ctx.incr st.engine "mucfuzz.resumed";
         sn.sn_iteration + 1
       | Error _ ->

@@ -73,7 +73,7 @@ type state = {
       (** the per-mutant coverage map, consumed (merged-and-zeroed in
           one pass) between compiles instead of reallocated *)
   mutable cache : Simcomp.Compiler.cache;
-      (** byte-identical mutant dedup (see {!Simcomp.Compiler.compile_cached}) *)
+      (** byte-identical mutant dedup (see {!Simcomp.Compiler.batch_compile}) *)
   mutable batch : Simcomp.Compiler.batch;
       (** pre-resolved compile handle over [cache]/[scratch]; rebuilt on
           checkpoint resume *)

@@ -5,7 +5,7 @@
 
     Selection and emission are fused into one buffer-writing pass over
     the IR (no per-instruction records, no per-operand strings); the
-    working tables and the output buffer come from the per-domain
+    working tables and the output buffer come from the
     {!Scratch} arena, so a steady-state compile allocates little beyond
     the returned assembly string. *)
 

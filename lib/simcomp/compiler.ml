@@ -55,16 +55,11 @@ let sanitize_msg (msg : string) : string =
     msg;
   Buffer.contents buf
 
-(* Front-end lexical coverage: token-kind bigrams (error-handling paths of
-   the lexer are what byte-level fuzzers explore).  Takes the token array
-   the parser already consumed — the source is lexed exactly once per
-   compile. *)
 (* The lexer branches on token *classes*, not identifier content.  The
    keyword and operator classes hash a constant constructor (resp. its
    spelling) — both deterministic per constructor, so the hashes are
    memoized by constant-constructor index instead of recomputed for
-   every token of every compile.  Racing initializations across domains
-   write the same value, so the unsynchronized arrays are benign. *)
+   every token of every compile. *)
 let kw_lex_tags = Array.make 64 (-1)
 let op_lex_tags = Array.make 64 (-1)
 
@@ -96,6 +91,10 @@ let lex_tag (t : Token.t) =
       v
     end
 
+(* Front-end lexical coverage: token-kind bigrams (error-handling paths of
+   the lexer are what byte-level fuzzers explore).  Takes the token array
+   the parser already consumed — the source is lexed exactly once per
+   compile. *)
 let lex_coverage ?limit cov ~salt (toks : Lexer.lexeme array) : unit =
   match cov with
   | None -> ()
@@ -270,12 +269,15 @@ let feature_coverage cov ~salt (a : Features.ast) : unit =
     done
 
 let diag_coverage cov ~salt (diags : Typecheck.diag list) : unit =
-  List.iter
-    (fun (d : Typecheck.diag) ->
-      cov_event cov ~salt ~site:0x300
-        ~a:(Hashtbl.hash (sanitize_msg d.msg) land 0xfff)
-        ~b:(match d.sev with Typecheck.Error -> 1 | Typecheck.Warning -> 0))
-    diags
+  match cov with
+  | None -> ()
+  | Some _ ->
+    List.iter
+      (fun (d : Typecheck.diag) ->
+        cov_event cov ~salt ~site:0x300
+          ~a:(Hashtbl.hash (sanitize_msg d.msg) land 0xfff)
+          ~b:(match d.sev with Typecheck.Error -> 1 | Typecheck.Warning -> 0))
+      diags
 
 (* Deterministically corrupt the optimized IR the way a wrong-code bug
    would: the first subtraction in the largest function gets its operands
@@ -301,8 +303,76 @@ let miscompile_ir (mc : Bugdb.miscompile) (prog : Ir.program) : unit =
     prog.Ir.p_funcs
 
 (* ------------------------------------------------------------------ *)
-(* Optimizer stage                                                     *)
+(* Stages                                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* The pipeline is one ordered stage list — front end → lower → opt →
+   back end — and every entry runs a prefix of it: [compile_tu] runs all
+   four, [compile_passes] (and so [compile_ir]) stops after opt.  The
+   entries differ only in the arguments the stages take: coverage, the
+   engine context, and [check], the latent-bug database consulted at
+   each stage boundary ([executed] is the optimizer's pass list, known
+   only once opt has run).  The triage entries pass [no_check]: seeded
+   ICEs must not mask the wrong-code observation channel. *)
+type check = ?executed:string list -> Crash.stage -> Features.ast option -> unit
+
+let no_check : check = fun ?executed:_ _ _ -> ()
+
+(* What the front end hands on.  [tc] does not outlive the compile: its
+   expression-type table is recycled from the arena, and lowering is its
+   last reader. *)
+type front = { tu : Ast.tu; tc : Typecheck.result; ast : Features.ast }
+
+(* Lex once, parse, walk the tree for coverage, extract features, type
+   check.  The tree is stored into [parsed] as soon as it exists, so a
+   caller still gets it back when a later stage crashes. *)
+let front_end ?cov ?engine ?parsed ~salt ~(check : check) (src : string) :
+    (front, string list) result =
+  Engine.Span.with_opt engine ~name:"compile.frontend" (fun () ->
+      let reject msg =
+        check Crash.Front_end None;
+        cov_event cov ~salt ~site:0x120
+          ~a:(Hashtbl.hash (sanitize_msg msg) land 0x1f)
+          ~b:0;
+        Error [ msg ]
+      in
+      (* tokenize exactly once: the same array feeds the parser and
+         lexical coverage (which, for parse errors, stops at the point
+         where a real single-pass front-end would stop) *)
+      match Lexer.tokenize src with
+      | exception Lexer.Error (msg, _loc) ->
+        lex_error_coverage cov ~salt msg;
+        reject msg
+      | toks -> (
+        let parsed_tu =
+          match Parser.parse_tokens toks with
+          | tu -> Ok tu
+          | exception Parser.Error (msg, loc) -> Error (msg, Some loc)
+          | exception Stack_overflow -> Error ("parser stack overflow", None)
+        in
+        match parsed_tu with
+        | Error (msg, loc) ->
+          lex_coverage ?limit:(Option.map (fun l -> l.Loc.offset) loc)
+            cov ~salt toks;
+          reject msg
+        | Ok tu ->
+          Option.iter (fun r -> r := Some tu) parsed;
+          lex_coverage cov ~salt toks;
+          ast_coverage cov ~salt tu;
+          let ast = Features.ast_features tu in
+          feature_coverage cov ~salt ast;
+          check Crash.Front_end (Some ast);
+          let tc = Typecheck.check ~types:(Scratch.get ()).Scratch.types tu in
+          diag_coverage cov ~salt tc.r_diags;
+          if not tc.r_ok then
+            Error (List.map Typecheck.diag_to_string (Typecheck.errors tc))
+          else Ok { tu; tc; ast }))
+
+let lower_stage ?cov ?engine ~(check : check) (fe : front) : Ir.program =
+  Engine.Span.with_opt engine ~name:"compile.lower" (fun () ->
+      let prog = Lower.lower_tu ?cov fe.tu fe.tc in
+      check Crash.Ir_gen (Some fe.ast);
+      prog)
 
 (* One executed pipeline step, as recorded by [compile_passes]. *)
 type pass_step = {
@@ -329,26 +399,23 @@ let interp_fuel = 1_000_000
 (* Per-pass optimizer counters (opt.pass.<name>.{runs,changes}),
    pre-resolved per context like [outcome_counters] below: the pipeline
    runs up to eight passes per compile, so per-pass registry lookups on
-   the hot path would dwarf the passes themselves on small inputs.  The
-   memo is domain-local, so parallel campaign workers never contend. *)
+   the hot path would dwarf the passes themselves on small inputs. *)
 type pass_counters = {
   pc_runs : Engine.Metrics.counter;
   pc_changes : Engine.Metrics.counter;
 }
 
 let pass_counters_memo :
-    (Engine.Ctx.t * (string, pass_counters) Hashtbl.t) option ref
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+    (Engine.Ctx.t * (string, pass_counters) Hashtbl.t) option ref =
+  ref None
 
 let pass_counters (ctx : Engine.Ctx.t) (name : string) : pass_counters =
-  let memo = Domain.DLS.get pass_counters_memo in
   let tbl =
-    match !memo with
+    match !pass_counters_memo with
     | Some (c, tbl) when c == ctx -> tbl
     | _ ->
       let tbl = Hashtbl.create 16 in
-      memo := Some (ctx, tbl);
+      pass_counters_memo := Some (ctx, tbl);
       tbl
   in
   match Hashtbl.find_opt tbl name with
@@ -364,83 +431,94 @@ let pass_counters (ctx : Engine.Ctx.t) (name : string) : pass_counters =
 
 (* Run the optimizer pipeline over [prog]: per-pass engine accounting
    (spans + opt.pass.<name>.{runs,changes}), the culprit-keyed wrong-code
-   injection, and optional per-step IR snapshots / differential checks.
-   Shared by [compile_tu] (hot path: no [collect]) and [compile_passes]. *)
-let run_opt_stage ?cov ?engine ?collect ?(verify = false)
-    (compiler : compiler) (opts : options) (ast : Features.ast)
-    (prog : Ir.program) : (string * int) list * (int * bool) option =
-  let planned = pipeline_of opts in
-  let mc =
-    Bugdb.check_miscompile ~compiler ~opt_level:opts.opt_level
-      ~pipeline:planned ~ast
-  in
-  let reference =
-    if verify then Ir_interp.observable ~fuel:interp_fuel prog else None
-  in
-  let dump_wanted name =
-    match opts.dump_ir with
-    | Dump_none -> false
-    | Dump_all -> true
-    | Dump_pass p -> String.equal p name
-  in
-  let mc_applied = ref false in
-  let pending_before = ref None in
-  let instrument (pass : Opt.pass) execute =
-    pending_before :=
-      (if Option.is_some collect && dump_wanted pass.Opt.pass_name then
-         Some (Ir.program_to_string prog)
-       else None);
-    Engine.Span.with_opt engine ~name:("opt.pass." ^ pass.Opt.pass_name)
-      execute
-  in
-  let observer ~index ~pass ~changes p =
-    let name = pass.Opt.pass_name in
-    (match engine with
-    | Some ctx ->
-      let k = pass_counters ctx name in
-      Engine.Metrics.incr k.pc_runs;
-      if changes > 0 then Engine.Metrics.incr ~by:changes k.pc_changes
-    | None -> ());
-    (* a latent wrong-code bug is the culprit pass's own miscompilation:
-       the corruption lands when that pass executes, so per-pass dumps
-       and differential checks can localize it *)
-    (match mc with
-    | Some m when (not !mc_applied) && String.equal m.Bugdb.mc_culprit name ->
-      mc_applied := true;
-      miscompile_ir m p
-    | _ -> ());
-    match collect with
-    | None -> ()
-    | Some push ->
-      let after =
-        if dump_wanted name then Some (Ir.program_to_string p) else None
+   injection, and optional per-step IR snapshots / differential checks
+   ([collect], which only [compile_passes] passes).  Returns the pre-opt
+   observable behaviour when [verify] asks for it. *)
+let opt_stage ?cov ?engine ?collect ?(verify = false) ~(check : check)
+    (compiler : compiler) (opts : options) (fe : front) (prog : Ir.program) :
+    (int * bool) option =
+  Engine.Span.with_opt engine ~name:"compile.opt" (fun () ->
+      let planned = pipeline_of opts in
+      let mc =
+        Bugdb.check_miscompile ~compiler ~opt_level:opts.opt_level
+          ~pipeline:planned ~ast:fe.ast
       in
-      let diverged =
-        match reference with
-        | None -> None
-        | Some r -> (
-          match Ir_interp.observable ~fuel:interp_fuel p with
-          | Some o -> Some (o <> r)
-          | None -> None)
+      let reference =
+        if verify then Ir_interp.observable ~fuel:interp_fuel prog else None
       in
-      push
-        {
-          st_pass = name;
-          st_index = index;
-          st_changes = changes;
-          st_ir_before = !pending_before;
-          st_ir_after = after;
-          st_diverged = diverged;
-        }
-  in
-  let results =
-    Opt.run_pipeline ?cov ~observer ~instrument ?pass_list:opts.pass_list
-      ~level:opts.opt_level ~disabled:opts.disabled_passes prog
-  in
-  (results, reference)
+      let dump_wanted name =
+        match opts.dump_ir with
+        | Dump_none -> false
+        | Dump_all -> true
+        | Dump_pass p -> String.equal p name
+      in
+      let mc_applied = ref false in
+      let pending_before = ref None in
+      let instrument (pass : Opt.pass) execute =
+        pending_before :=
+          (if Option.is_some collect && dump_wanted pass.Opt.pass_name then
+             Some (Ir.program_to_string prog)
+           else None);
+        Engine.Span.with_opt engine ~name:("opt.pass." ^ pass.Opt.pass_name)
+          execute
+      in
+      let observer ~index ~pass ~changes p =
+        let name = pass.Opt.pass_name in
+        (match engine with
+        | Some ctx ->
+          let k = pass_counters ctx name in
+          Engine.Metrics.incr k.pc_runs;
+          if changes > 0 then Engine.Metrics.incr ~by:changes k.pc_changes
+        | None -> ());
+        (* a latent wrong-code bug is the culprit pass's own
+           miscompilation: the corruption lands when that pass executes,
+           so per-pass dumps and differential checks can localize it *)
+        (match mc with
+        | Some m
+          when (not !mc_applied) && String.equal m.Bugdb.mc_culprit name ->
+          mc_applied := true;
+          miscompile_ir m p
+        | _ -> ());
+        match collect with
+        | None -> ()
+        | Some push ->
+          let after =
+            if dump_wanted name then Some (Ir.program_to_string p) else None
+          in
+          let diverged =
+            match reference with
+            | None -> None
+            | Some r -> (
+              match Ir_interp.observable ~fuel:interp_fuel p with
+              | Some o -> Some (o <> r)
+              | None -> None)
+          in
+          push
+            {
+              st_pass = name;
+              st_index = index;
+              st_changes = changes;
+              st_ir_before = !pending_before;
+              st_ir_after = after;
+              st_diverged = diverged;
+            }
+      in
+      let results =
+        Opt.run_pipeline ?cov ~observer ~instrument ?pass_list:opts.pass_list
+          ~level:opts.opt_level ~disabled:opts.disabled_passes prog
+      in
+      check ~executed:(List.map fst results) Crash.Optimization (Some fe.ast);
+      reference)
+
+let backend_stage ?cov ?engine ~(check : check) (fe : front)
+    (prog : Ir.program) : string * int =
+  Engine.Span.with_opt engine ~name:"compile.backend" (fun () ->
+      let r = Backend.emit_program ?cov prog in
+      check Crash.Back_end (Some fe.ast);
+      r)
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline                                                            *)
+(* Entries                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Crash stages and engine stages name the same pipeline boundaries. *)
@@ -452,9 +530,7 @@ let engine_stage = function
 
 (* Per-compile engine counters, resolved once per context instead of two
    string-keyed registry lookups (plus a name concatenation) per compile.
-   The memo is domain-local: parallel campaign workers each own their
-   context, so a one-slot cache per domain never sees contention and
-   re-resolves only when the context changes. *)
+   The one-slot memo re-resolves only when the context changes. *)
 type outcome_counters = {
   oc_total : Engine.Metrics.counter;
   oc_ok : Engine.Metrics.counter;
@@ -463,13 +539,10 @@ type outcome_counters = {
   oc_cached : Engine.Metrics.counter;
 }
 
-let counters_memo : (Engine.Ctx.t * outcome_counters) option ref Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> ref None)
+let counters_memo : (Engine.Ctx.t * outcome_counters) option ref = ref None
 
 let outcome_counters (ctx : Engine.Ctx.t) : outcome_counters =
-  let memo = Domain.DLS.get counters_memo in
-  match !memo with
+  match !counters_memo with
   | Some (c, k) when c == ctx -> k
   | _ ->
     let c name = Engine.Metrics.counter ctx.Engine.Ctx.metrics name in
@@ -483,7 +556,7 @@ let outcome_counters (ctx : Engine.Ctx.t) : outcome_counters =
         oc_cached = c "compile.cached";
       }
     in
-    memo := Some (ctx, k);
+    counters_memo := Some (ctx, k);
     k
 
 let record_outcome ?(cached = false) engine (outcome : outcome) =
@@ -542,95 +615,26 @@ let compile_tu ?cov ?engine ?faults (compiler : compiler) (opts : options)
     record_outcome engine outcome;
     (outcome, None)
   | _ ->
-  let salt = salt compiler in
   let tx = Features.text_features src in
   let check ?executed stage ast =
+    (match (executed, ast) with
+    | Some executed, Some ast -> Bugdb.check_passes ~compiler ~executed ~ast
+    | _ -> ());
     Bugdb.check ~compiler ~stage ~opt_level:opts.opt_level ?executed ~tx ~ast ()
   in
-  let span name f = Engine.Span.with_opt engine ~name f in
-  let parsed_tu = ref None in
+  let parsed = ref None in
   let outcome =
     try
-      let frontend =
-        span "compile.frontend" (fun () ->
-            (* tokenize exactly once: the same array feeds the parser and
-               lexical coverage (which, for parse errors, stops at the
-               point where a real single-pass front-end would stop) *)
-            match Lexer.tokenize src with
-            | exception Lexer.Error (msg, _loc) ->
-              lex_error_coverage cov ~salt msg;
-              check Crash.Front_end None;
-              cov_event cov ~salt ~site:0x120
-                ~a:(Hashtbl.hash (sanitize_msg msg) land 0x1f)
-                ~b:0;
-              Error [ msg ]
-            | toks -> (
-              let parsed =
-                match Parser.parse_tokens toks with
-                | tu -> Ok tu
-                | exception Parser.Error (msg, loc) -> Error (msg, Some loc)
-                | exception Stack_overflow ->
-                  Error ("parser stack overflow", None)
-              in
-              match parsed with
-              | Error (msg, loc) ->
-                lex_coverage ?limit:(Option.map (fun l -> l.Loc.offset) loc)
-                  cov ~salt toks;
-                check Crash.Front_end None;
-                cov_event cov ~salt ~site:0x120
-                  ~a:(Hashtbl.hash (sanitize_msg msg) land 0x1f)
-                  ~b:0;
-                Error [ msg ]
-              | Ok tu ->
-                parsed_tu := Some tu;
-                lex_coverage cov ~salt toks;
-                ast_coverage cov ~salt tu;
-                let ast = Features.ast_features tu in
-                feature_coverage cov ~salt ast;
-                check Crash.Front_end (Some ast);
-                (* the expression-type table is recycled from the arena:
-                   [tc] does not outlive this compile (lowering is its
-                   last reader) *)
-                let tc = Typecheck.check ~types:(Scratch.get ()).Scratch.types tu in
-                diag_coverage cov ~salt tc.r_diags;
-                if not tc.r_ok then
-                  Error
-                    (List.map Typecheck.diag_to_string (Typecheck.errors tc))
-                else Ok (tu, tc, ast)))
-      in
-      match frontend with
+      match front_end ?cov ?engine ~parsed ~salt:(salt compiler) ~check src with
       | Error msgs -> Compile_error msgs
-      | Ok (tu, tc, ast) ->
-        let warnings = List.length (Typecheck.warnings tc) in
-        (* IR generation *)
-        let prog =
-          span "compile.lower" (fun () ->
-              let prog = Lower.lower_tu ?cov tu tc in
-              check Crash.Ir_gen (Some ast);
-              prog)
-        in
-        (* optimization: the stage runner handles per-pass accounting
-           and the culprit-keyed wrong-code injection *)
-        span "compile.opt" (fun () ->
-            let results, _ =
-              run_opt_stage ?cov ?engine compiler opts ast prog
-            in
-            let executed = List.map fst results in
-            Bugdb.check_passes ~compiler ~executed ~ast;
-            check ~executed Crash.Optimization (Some ast));
-        (* back-end *)
-        let asm, spills =
-          span "compile.backend" (fun () ->
-              let r = Backend.emit_program ?cov prog in
-              check Crash.Back_end (Some ast);
-              r)
-        in
+      | Ok fe ->
+        let warnings = List.length (Typecheck.warnings fe.tc) in
+        let prog = lower_stage ?cov ?engine ~check fe in
+        ignore (opt_stage ?cov ?engine ~check compiler opts fe prog);
+        let asm, spills = backend_stage ?cov ?engine ~check fe prog in
         Compiled { asm; warnings; ir_size = Ir.program_size prog; spills }
     with
     | Crash.Compiler_crash c -> Crashed c
-    | Lexer.Error (msg, _) ->
-      check Crash.Front_end None;
-      Compile_error [ "lex error: " ^ msg ]
     | Stack_overflow ->
       Crashed
         {
@@ -642,49 +646,43 @@ let compile_tu ?cov ?engine ?faults (compiler : compiler) (opts : options)
         }
   in
   record_outcome engine outcome;
-  (outcome, !parsed_tu)
+  (outcome, !parsed)
 
 let compile ?cov ?engine ?faults (compiler : compiler) (opts : options)
     (src : string) : outcome =
   fst (compile_tu ?cov ?engine ?faults compiler opts src)
 
-(* Run the pipeline step by step, recording each executed pass: change
+(* Run the stage list up to opt, recording each executed pass: change
    counts, IR snapshots per [opts.dump_ir], and (with [verify]) a
-   per-pass differential check against the pre-opt IR semantics.  Like
-   [compile_ir] this is crash-free — the observation channel for
-   wrong-code triage must not be masked by seeded ICEs. *)
-let compile_passes ?(verify = false) (compiler : compiler) (opts : options)
+   per-pass differential check against the pre-opt IR semantics.  Front
+   end errors are [compile]'s diagnostics, one per line. *)
+let compile_passes ?verify (compiler : compiler) (opts : options)
     (src : string) : (pass_trace, string) result =
-  match Parser.parse src with
-  | Error e -> Error e
-  | Ok tu ->
-    let tc = Typecheck.check tu in
-    if not tc.Typecheck.r_ok then Error "type errors"
-    else begin
-      let ast = Features.ast_features tu in
-      let prog = Lower.lower_tu tu tc in
-      let steps = ref [] in
-      let collect st = steps := st :: !steps in
-      let _, reference =
-        run_opt_stage ~collect ~verify compiler opts ast prog
-      in
-      let steps = List.rev !steps in
-      let first_divergent =
-        List.find_map
-          (fun st ->
-            match st.st_diverged with
-            | Some true -> Some st.st_pass
-            | _ -> None)
-          steps
-      in
-      Ok
-        {
-          pt_steps = steps;
-          pt_reference = reference;
-          pt_first_divergent = first_divergent;
-          pt_program = prog;
-        }
-    end
+  match front_end ~salt:(salt compiler) ~check:no_check src with
+  | Error msgs -> Error (String.concat "\n" msgs)
+  | Ok fe ->
+    let prog = lower_stage ~check:no_check fe in
+    let steps = ref [] in
+    let collect st = steps := st :: !steps in
+    let reference =
+      opt_stage ~collect ?verify ~check:no_check compiler opts fe prog
+    in
+    let steps = List.rev !steps in
+    let first_divergent =
+      List.find_map
+        (fun st ->
+          match st.st_diverged with
+          | Some true -> Some st.st_pass
+          | _ -> None)
+        steps
+    in
+    Ok
+      {
+        pt_steps = steps;
+        pt_reference = reference;
+        pt_first_divergent = first_divergent;
+        pt_program = prog;
+      }
 
 (* Produce the (possibly silently corrupted) optimized IR: the hook the
    EMI-style wrong-code detector (Fuzzing.Wrongcode) differences against
@@ -801,70 +799,15 @@ let entry_matches (compiler : compiler) (opts : options) (src : string)
     (e : cache_entry) =
   e.ce_compiler = compiler && String.equal e.ce_src src && e.ce_opts = opts
 
-(* The shared cached-compile core: [fp] is the already-salted
-   fingerprint. *)
-let cached_compile ~cache ~fp ?cov ?engine ?faults (compiler : compiler)
-    (opts : options) (src : string) : outcome * Cparse.Ast.tu option =
-  let bucket = Hashtbl.find_opt cache.c_tbl fp in
-  let hit =
-    match bucket with
-    | None -> None
-    | Some entries -> List.find_opt (entry_matches compiler opts src) entries
-  in
-  match hit with
-  | Some e ->
-    cache.c_hits <- cache.c_hits + 1;
-    (* A byte-identical source was already compiled: its outcome is
-       deterministic and its coverage map is identical to the first
-       run's, so recording into [cov] is skipped — any map the caller
-       previously merged that coverage into already subsumes it, making
-       the fresh-branch count 0 either way.  Engine accounting is still
-       replayed so compile.total/compile.outcome.* match an uncached
-       run exactly. *)
-    record_outcome ~cached:true engine e.ce_outcome;
-    (e.ce_outcome, None)
-  | None ->
-    cache.c_misses <- cache.c_misses + 1;
-    (match bucket with
-    | Some _ ->
-      (* fingerprint collision (or same source under other options):
-         the exact-key comparison above kept the probe sound *)
-      cache.c_collisions <- cache.c_collisions + 1
-    | None -> ());
-    (* the fault draw happens only on real compiles (a cache hit replays
-       the memoized outcome, injected hang included), so a pathological
-       mutant is pathological every time it is seen *)
-    let outcome, tu = compile_tu ?cov ?engine ?faults compiler opts src in
-    if cache.c_len >= cache.c_capacity then begin
-      Hashtbl.reset cache.c_tbl;
-      cache.c_len <- 0
-    end;
-    let prev =
-      match Hashtbl.find_opt cache.c_tbl fp with Some l -> l | None -> []
-    in
-    Hashtbl.replace cache.c_tbl fp
-      ({ ce_compiler = compiler; ce_opts = opts; ce_src = src;
-         ce_outcome = outcome }
-       :: prev);
-    cache.c_len <- cache.c_len + 1;
-    (outcome, tu)
-
-let compile_cached ~cache ?cov ?engine ?faults (compiler : compiler)
-    (opts : options) (src : string) : outcome * Cparse.Ast.tu option =
-  let fp = fp_of cache ~salt:(fp_salt compiler opts) src in
-  cached_compile ~cache ~fp ?cov ?engine ?faults compiler opts src
-
 (* ------------------------------------------------------------------ *)
 (* Batch compile sessions                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* A fuzz loop compiles many mutants of one original under one
    (compiler, options) pair.  A batch pins that pair once: the
-   fingerprint salt (an options traversal) is precomputed, the
+   fingerprint salt (an options traversal) is precomputed and the
    cov/engine/faults plumbing is bound up front instead of re-boxed per
-   call, and every compile shares the cache — decisions are exactly
-   those of [compile_cached] called with the same arguments (pinned by
-   the batch-equivalence test). *)
+   call, so the per-mutant overhead is one scan of the source. *)
 type batch = {
   bt_cache : cache;
   bt_compiler : compiler;
@@ -888,6 +831,52 @@ let batch_create ~cache ?cov ?engine ?faults (compiler : compiler)
   }
 
 let batch_compile (b : batch) (src : string) : outcome * Cparse.Ast.tu option =
-  let fp = fp_of b.bt_cache ~salt:b.bt_salt src in
-  cached_compile ~cache:b.bt_cache ~fp ?cov:b.bt_cov ?engine:b.bt_engine
-    ?faults:b.bt_faults b.bt_compiler b.bt_opts src
+  let cache = b.bt_cache in
+  let fp = fp_of cache ~salt:b.bt_salt src in
+  let bucket = Hashtbl.find_opt cache.c_tbl fp in
+  let hit =
+    match bucket with
+    | None -> None
+    | Some entries ->
+      List.find_opt (entry_matches b.bt_compiler b.bt_opts src) entries
+  in
+  match hit with
+  | Some e ->
+    cache.c_hits <- cache.c_hits + 1;
+    (* A byte-identical source was already compiled: its outcome is
+       deterministic and its coverage map is identical to the first
+       run's, so recording into [cov] is skipped — any map the caller
+       previously merged that coverage into already subsumes it, making
+       the fresh-branch count 0 either way.  Engine accounting is still
+       replayed so compile.total/compile.outcome.* match an uncached
+       run exactly. *)
+    record_outcome ~cached:true b.bt_engine e.ce_outcome;
+    (e.ce_outcome, None)
+  | None ->
+    cache.c_misses <- cache.c_misses + 1;
+    (match bucket with
+    | Some _ ->
+      (* fingerprint collision (or same source under other options):
+         the exact-key comparison above kept the probe sound *)
+      cache.c_collisions <- cache.c_collisions + 1
+    | None -> ());
+    (* the fault draw happens only on real compiles (a cache hit replays
+       the memoized outcome, injected hang included), so a pathological
+       mutant is pathological every time it is seen *)
+    let outcome, tu =
+      compile_tu ?cov:b.bt_cov ?engine:b.bt_engine ?faults:b.bt_faults
+        b.bt_compiler b.bt_opts src
+    in
+    if cache.c_len >= cache.c_capacity then begin
+      Hashtbl.reset cache.c_tbl;
+      cache.c_len <- 0
+    end;
+    let prev =
+      match Hashtbl.find_opt cache.c_tbl fp with Some l -> l | None -> []
+    in
+    Hashtbl.replace cache.c_tbl fp
+      ({ ce_compiler = b.bt_compiler; ce_opts = b.bt_opts; ce_src = src;
+         ce_outcome = outcome }
+       :: prev);
+    cache.c_len <- cache.c_len + 1;
+    (outcome, tu)

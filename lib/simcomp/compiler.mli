@@ -96,19 +96,6 @@ val cache_collisions : cache -> int
     fingerprint bucket without an exact-triple match.  A nonzero count
     only costs a bucket walk; outcomes are unaffected. *)
 
-val compile_cached :
-  cache:cache -> ?cov:Coverage.t -> ?engine:Engine.Ctx.t ->
-  ?faults:Engine.Faults.t -> compiler -> options -> string ->
-  outcome * Cparse.Ast.tu option
-(** {!compile_tu} through the cache.  On a hit the memoized outcome is
-    returned with [None] for the tree, nothing is recorded into [cov]
-    (the identical coverage was already produced by the first compile —
-    any accumulator the caller merged it into subsumes it), and engine
-    accounting is replayed exactly as for a real compile, plus a
-    [compile.cached] counter bump.  The [Compile_hang] fault draw
-    happens only on misses: a byte-identical mutant replays its
-    memoized outcome, injected hang included. *)
-
 type batch
 (** A pinned (compiler, options, cache, plumbing) compile session.  Fuzz
     loops compile many mutants of one original under one configuration;
@@ -121,9 +108,16 @@ val batch_create :
   ?faults:Engine.Faults.t -> compiler -> options -> batch
 
 val batch_compile : batch -> string -> outcome * Cparse.Ast.tu option
-(** Exactly {!compile_cached} with the batch's pinned arguments: cache
-    decisions, engine accounting, fault draws and outcomes are
-    indistinguishable from the unbatched call. *)
+(** {!compile_tu} with the batch's pinned arguments, through its cache —
+    the only cached compile entry.  On a hit the memoized outcome is
+    returned with [None] for the tree, nothing is recorded into [cov]
+    (the identical coverage was already produced by the first compile —
+    any accumulator the caller merged it into subsumes it), and engine
+    accounting is replayed exactly as for a real compile, plus a
+    [compile.cached] counter bump.  The [Compile_hang] fault draw
+    happens only on misses: a byte-identical mutant replays its
+    memoized outcome, injected hang included.  A one-off cached compile
+    is [batch_compile (batch_create ~cache ...) src]. *)
 
 (** One executed pipeline step, as recorded by {!compile_passes}. *)
 type pass_step = {
@@ -151,11 +145,14 @@ type pass_trace = {
 val compile_passes :
   ?verify:bool -> compiler -> options -> string ->
   (pass_trace, string) result
-(** Run the pipeline step by step, recording each executed pass; with
-    [verify] (default false) the IR is interpreted after every pass and
-    compared against the pre-opt semantics.  Crash-free like
-    {!compile_ir}: seeded ICEs must not mask the wrong-code observation
-    channel. *)
+(** Run {!compile}'s stages up to and including the optimizer — the
+    same front end, lowering and pass pipeline — recording each executed
+    pass; with [verify] (default false) the IR is interpreted after every
+    pass and compared against the pre-opt semantics.  [Error] carries
+    the messages {!compile} would report as [Compile_error], joined by
+    newlines.  Crash-free like {!compile_ir}: the latent-bug database is
+    not consulted, so seeded ICEs cannot mask the wrong-code observation
+    channel (a latent wrong-code bug still miscompiles the IR). *)
 
 val compile_ir : compiler -> options -> string -> (Ir.program, string) result
 (** Produce the (possibly silently miscompiled) optimized IR — the hook

@@ -54,7 +54,7 @@ let cov_event env site a b =
 
 (* [Hashtbl.hash op land 0xff], memoized by constant-constructor index:
    the polymorphic hash is a C call that instrumentation sites pay per
-   binop otherwise.  Cross-domain init races write identical values. *)
+   binop otherwise. *)
 let binop_hash_tags = Array.make 32 (-1)
 
 let binop_hash_tag (op : Cparse.Ast.binop) =

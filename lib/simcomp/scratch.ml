@@ -1,4 +1,4 @@
-(* The per-domain compile arena.
+(* The per-process compile arena.
 
    The compile pipeline used to allocate its working state afresh on
    every compile: an instruction list rebuilt per block in [Lower], a
@@ -8,16 +8,16 @@
    fuzz loops — hundreds of thousands of compiles per campaign — paid
    steady GC tax for structurally identical garbage.
 
-   This module centralises those scratch structures in one record held
-   in domain-local storage.  Tables are recycled with [Hashtbl.clear]
+   This module centralises those scratch structures in one module-level
+   record.  Tables are recycled with [Hashtbl.clear]
    (which keeps the grown bucket array, unlike [Hashtbl.reset]) and
    buffers with [Buffer.clear], so after warm-up the hot path allocates
    only what escapes the compile (the outcome itself).
 
    Determinism: every structure is fully cleared by its user before (or
    after) each use, so a warm arena and a cold one produce byte-identical
-   output — [reset] exists so tests can pin that.  Each domain owns its
-   arena; parallel campaign workers never share one. *)
+   output — [reset] exists so tests can pin that.  Parallel campaign
+   workers are separate processes, each with its own arena. *)
 
 type t = {
   (* Lower: per-block instruction staging (blocks are built strictly
@@ -36,7 +36,7 @@ type t = {
   mutable regmap : int array;
   (* Backend: whole-program assembly buffer. *)
   asm_buf : Buffer.t;
-  (* Mutant rendering (Pretty/Fragility): one buffer per domain. *)
+  (* Mutant rendering (Pretty/Fragility). *)
   render_buf : Buffer.t;
   (* Typecheck context reuse: the expression-id → type table threaded
      into [Typecheck.check ~types] by the compile hot path. *)
@@ -58,20 +58,19 @@ let create () =
     types = Hashtbl.create 1024;
   }
 
-let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let arena : t option ref = ref None
 
 let get () : t =
-  let slot = Domain.DLS.get key in
-  match !slot with
+  match !arena with
   | Some s -> s
   | None ->
     let s = create () in
-    slot := Some s;
+    arena := Some s;
     s
 
-(* Drop this domain's arena; the next [get] builds a cold one.  Lets the
+(* Drop the arena; the next [get] builds a cold one.  Lets the
    byte-identity tests compare warm-arena output against a fresh arena. *)
-let reset () = Domain.DLS.get key := None
+let reset () = arena := None
 
 (* Ensure [regmap] covers vregs [1..n] and is filled with the unassigned
    sentinel over that range. *)

@@ -1,12 +1,12 @@
-(** The per-domain compile arena: reusable buffers, IR instruction
+(** The per-process compile arena: reusable buffers, IR instruction
     vectors, and pre-sized recycled hashtables shared by the compile hot
     path ({!Lower}, {!Opt}, {!Backend}, {!Typecheck} context reuse) so a
     steady-state compile allocates only what escapes it.
 
     Every structure is fully cleared by its user around each use, so a
     warm arena produces byte-identical output to a cold one (pinned by
-    the scratch-reuse tests via {!reset}).  Arenas are domain-local:
-    parallel campaign workers never share one. *)
+    the scratch-reuse tests via {!reset}).  Parallel campaign workers
+    are separate processes, each with its own arena. *)
 
 type t = {
   instrs : Ir.instr Engine.Vec.t;
@@ -23,10 +23,10 @@ type t = {
 }
 
 val get : unit -> t
-(** This domain's arena (created on first use). *)
+(** The arena (created on first use). *)
 
 val reset : unit -> unit
-(** Drop this domain's arena so the next {!get} builds a cold one — for
+(** Drop the arena so the next {!get} builds a cold one — for
     tests that compare warm-arena output against fresh allocation. *)
 
 val regmap_for : t -> int -> int array

@@ -100,29 +100,6 @@ let metrics_tests =
 
 let event_tests =
   [
-    tc "counter snapshot after a known event sequence" (fun () ->
-        let reg = Engine.Metrics.create () in
-        let bus = Engine.Event.bus () in
-        Engine.Event.add_sink bus (Engine.Event.metrics_sink reg);
-        List.iter
-          (Engine.Event.emit bus)
-          [
-            Engine.Event.Mutant_attempted { mutator = "Ret2V" };
-            Engine.Event.Mutant_attempted { mutator = "CopyExpr" };
-            Engine.Event.Compile_finished
-              (Engine.Event.Compiled_ok, Engine.Event.Backend);
-            Engine.Event.Crash_found
-              { key = "f|g"; stage = Engine.Event.Opt; iteration = 3 };
-            Engine.Event.Pipeline_goal (4, true);
-            Engine.Event.Mutant_attempted { mutator = "Ret2V" };
-          ];
-        let get name =
-          Engine.Metrics.counter_value (Engine.Metrics.counter reg name)
-        in
-        check Alcotest.int "attempts" 3 (get "event.mutant_attempted");
-        check Alcotest.int "compiles" 1 (get "event.compile_finished");
-        check Alcotest.int "crashes" 1 (get "event.crash_found");
-        check Alcotest.int "goals" 1 (get "event.pipeline_goal"));
     tc "ring sink keeps the newest events on overflow" (fun () ->
         let ring, sink = Engine.Event.ring_sink ~capacity:4 in
         let bus = Engine.Event.bus () in
@@ -392,6 +369,28 @@ let faults_tests =
           check Alcotest.bool "METAMUT_FAULTS names the site" true
             (Astring.String.is_infix ~affix:"unknown site \"crash\"" msg)
         | None -> Alcotest.fail "METAMUT_FAULTS with crash= must raise");
+    tc "METAMUT_FAULT_SEED must be an integer" (fun () ->
+        let saved = Sys.getenv_opt "METAMUT_FAULT_SEED" in
+        let seed_of v =
+          Unix.putenv "METAMUT_FAULT_SEED" v;
+          match Engine.Faults.seed_from_env () with
+          | n -> Ok n
+          | exception Invalid_argument msg -> Error msg
+        in
+        let parsed, blank, malformed =
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.putenv "METAMUT_FAULT_SEED"
+                (Option.value ~default:"" saved))
+            (fun () -> (seed_of " 17 ", seed_of "", seed_of "abc"))
+        in
+        check Alcotest.(result int string) "integer" (Ok 17) parsed;
+        check Alcotest.(result int string) "blank is unset" (Ok 0) blank;
+        match malformed with
+        | Error msg ->
+          check Alcotest.bool "names the variable" true
+            (Astring.String.is_infix ~affix:"METAMUT_FAULT_SEED" msg)
+        | Ok n -> Alcotest.failf "\"abc\" parsed as seed %d" n);
     tc "surviving sites keep their streams bit for bit" (fun () ->
         (* first 64 decisions at seed 42, rate 0.5, recorded before the
            in-process worker-crash site was removed: the site indices

@@ -1007,12 +1007,115 @@ let mutant_differential =
              | _ -> true
            end))
 
+(* The pipeline's output, pinned: every compile entry (compile_tu,
+   compile_ir, compile_passes ~verify with full dumps) over a fixed corpus
+   of seeds, mutants and corrupted mutants, at both compilers and -O0..3,
+   digested.  The expected digests predate the entries sharing one stage
+   list; any change to what a stage computes shows here. *)
+let pin_corpus () =
+  let rng = Rng.create 4242 in
+  let seeds =
+    List.filteri
+      (fun i _ -> i < 10)
+      (List.filter_map Fuzzing.Seeds.of_template Fuzzing.Seeds.templates)
+    @ List.init 4 (fun _ ->
+          Ast_gen.gen_source
+            ~cfg:{ Ast_gen.default_config with max_functions = 2; max_depth = 2 }
+            rng)
+  in
+  let rec mutate tries src =
+    if tries = 0 then None
+    else
+      match
+        Mutators.Mutator.apply_src
+          (Rng.choose rng Mutators.Registry.core)
+          ~rng src
+      with
+      | Some m -> Some m
+      | None -> mutate (tries - 1) src
+  in
+  let mutants = List.filter_map (mutate 8) seeds in
+  seeds @ mutants @ List.map (Fuzzing.Fragility.corrupt rng) mutants
+
+let pin_digests () =
+  let tu_buf = Buffer.create 65536 in
+  let ir_buf = Buffer.create 65536 in
+  let passes_buf = Buffer.create 65536 in
+  let add buf s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\n'
+  in
+  let opt_s = Option.value ~default:"-" in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun compiler ->
+          for opt_level = 0 to 3 do
+            let opts =
+              { Simcomp.Compiler.default_options with opt_level }
+            in
+            let cov = Simcomp.Coverage.create () in
+            (match fst (Simcomp.Compiler.compile_tu ~cov compiler opts src) with
+            | Simcomp.Compiler.Compiled { asm; warnings; ir_size; spills } ->
+              add tu_buf (Fmt.str "ok %d %d %d" warnings ir_size spills);
+              add tu_buf asm
+            | Simcomp.Compiler.Compile_error es ->
+              add tu_buf ("error " ^ String.concat "|" es)
+            | Simcomp.Compiler.Crashed c ->
+              add tu_buf ("crash " ^ Simcomp.Crash.to_string c));
+            List.iter
+              (fun id -> add tu_buf (string_of_int id))
+              (Simcomp.Coverage.branch_ids cov);
+            (* error texts are not pinned: the entries report the same
+               front-end diagnostics only since they share one *)
+            (match Simcomp.Compiler.compile_ir compiler opts src with
+            | Ok p -> add ir_buf (Simcomp.Ir.program_to_string p)
+            | Error _ -> add ir_buf "error");
+            match
+              Simcomp.Compiler.compile_passes ~verify:true compiler
+                { opts with Simcomp.Compiler.dump_ir = Simcomp.Compiler.Dump_all }
+                src
+            with
+            | Error _ -> add passes_buf "error"
+            | Ok tr ->
+              List.iter
+                (fun (st : Simcomp.Compiler.pass_step) ->
+                  add passes_buf
+                    (Fmt.str "%s %d %d %s" st.st_pass st.st_index
+                       st.st_changes
+                       (match st.st_diverged with
+                       | None -> "?"
+                       | Some d -> string_of_bool d));
+                  add passes_buf (opt_s st.st_ir_before);
+                  add passes_buf (opt_s st.st_ir_after))
+                tr.Simcomp.Compiler.pt_steps;
+              add passes_buf
+                (match tr.Simcomp.Compiler.pt_reference with
+                | None -> "no reference"
+                | Some (code, ok) -> Fmt.str "reference %d %b" code ok);
+              add passes_buf (opt_s tr.Simcomp.Compiler.pt_first_divergent);
+              add passes_buf
+                (Simcomp.Ir.program_to_string tr.Simcomp.Compiler.pt_program)
+          done)
+        [ Simcomp.Compiler.Gcc; Simcomp.Compiler.Clang ])
+    (pin_corpus ());
+  List.map
+    (fun b -> Digest.to_hex (Digest.string (Buffer.contents b)))
+    [ tu_buf; ir_buf; passes_buf ]
+
 (* The single-lex pipeline entries: compile_tu's returned tree and the
    dedup cache must be indistinguishable from plain compile. *)
 let compile_pipeline_tests =
   let opts = Simcomp.Compiler.default_options in
   let gen_sources n seed =
     List.init n (fun i -> Ast_gen.gen_source (Rng.create (seed + i)))
+  in
+  (* a one-shot batch: one cached compile through [cache] *)
+  let cached ~cache ?cov ?engine ?faults src =
+    Simcomp.Compiler.batch_compile
+      (Simcomp.Compiler.batch_create ~cache ?cov ?engine ?faults
+         Simcomp.Compiler.Gcc opts)
+      src
   in
   [
     tc "compile_tu returns the tree parse would produce" (fun () ->
@@ -1027,11 +1130,52 @@ let compile_pipeline_tests =
               Alcotest.fail "compiled outcome must carry the parsed tree"
             | _ -> ())
           (gen_sources 10 500));
+    tc "compile entries reproduce the pinned outputs" (fun () ->
+        check
+          Alcotest.(list string)
+          "compile_tu, compile_ir, compile_passes digests"
+          [
+            "fcbc8af6191a4eb0066706f7454335c2";
+            "fcc796cc4715341614e927c443d5daca";
+            "e22ec23dfa7a73456c6a01e3a3d04fdd";
+          ]
+          (pin_digests ()));
+    tc "compile_passes reports compile's front-end errors" (fun () ->
+        (* one front end: a source compile rejects is rejected by
+           compile_passes with the same diagnostics, and a source it
+           compiles reaches the optimizer *)
+        let rng = Rng.create 2024 in
+        let srcs = gen_sources 8 2100 in
+        let srcs = srcs @ List.map (Fuzzing.Fragility.corrupt rng) srcs in
+        let rejected = ref 0 in
+        List.iter
+          (fun src ->
+            List.iter
+              (fun compiler ->
+                match
+                  ( Simcomp.Compiler.compile compiler opts src,
+                    Simcomp.Compiler.compile_passes compiler opts src )
+                with
+                | Simcomp.Compiler.Compile_error es, Error e ->
+                  incr rejected;
+                  check Alcotest.string "same diagnostics"
+                    (String.concat "\n" es) e
+                | Simcomp.Compiler.Compile_error _, Ok _ ->
+                  Alcotest.fail "compile_passes accepted a rejected source"
+                | Simcomp.Compiler.Compiled _, Error e ->
+                  Alcotest.failf "compile_passes rejected a compiled source: %s"
+                    e
+                | (Simcomp.Compiler.Compiled _ | Simcomp.Compiler.Crashed _), _
+                  -> ())
+              [ Simcomp.Compiler.Gcc; Simcomp.Compiler.Clang ])
+          srcs;
+        check Alcotest.bool "corruptions exercised the error path" true
+          (!rejected > 0));
     tc "compile_tu parse failure yields no tree" (fun () ->
         match Simcomp.Compiler.compile_tu Simcomp.Compiler.Gcc opts "int main( {" with
         | Simcomp.Compiler.Compile_error _, None -> ()
         | _ -> Alcotest.fail "expected error outcome without a tree");
-    tc "compile_cached reproduces compile outcomes and dedups repeats"
+    tc "batch_compile reproduces compile outcomes and dedups repeats"
       (fun () ->
         let cache = Simcomp.Compiler.cache_create () in
         let srcs = gen_sources 8 900 in
@@ -1045,10 +1189,7 @@ let compile_pipeline_tests =
                 opts src
             in
             let cov_cached = Simcomp.Coverage.create () in
-            let cached, _ =
-              Simcomp.Compiler.compile_cached ~cache ~cov:cov_cached
-                Simcomp.Compiler.Gcc opts src
-            in
+            let cached, _ = cached ~cache ~cov:cov_cached src in
             check Alcotest.bool "identical outcome" true (plain = cached))
           srcs;
         check Alcotest.int "second pass all hits" 8
@@ -1067,12 +1208,7 @@ let compile_pipeline_tests =
         let srcs = gen_sources 6 1300 in
         let srcs = srcs @ List.rev srcs @ srcs in
         let outcomes cache =
-          List.map
-            (fun src ->
-              fst
-                (Simcomp.Compiler.compile_cached ~cache Simcomp.Compiler.Gcc
-                   opts src))
-            srcs
+          List.map (fun src -> fst (cached ~cache src)) srcs
         in
         check Alcotest.bool "same outcome sequence" true
           (outcomes normal = outcomes colliding);
@@ -1096,41 +1232,10 @@ let compile_pipeline_tests =
         List.iter
           (fun src ->
             let plain = Simcomp.Compiler.compile Simcomp.Compiler.Gcc opts src in
-            let cached, _ =
-              Simcomp.Compiler.compile_cached ~cache Simcomp.Compiler.Gcc opts
-                src
-            in
+            let cached, _ = cached ~cache src in
             check Alcotest.bool "outcome survives epoch clears" true
               (plain = cached))
           srcs);
-    tc "batch_compile is indistinguishable from compile_cached" (fun () ->
-        let srcs = gen_sources 6 1500 in
-        let srcs = srcs @ srcs in
-        let cache_a = Simcomp.Compiler.cache_create () in
-        let cov_a = Simcomp.Coverage.create () in
-        let via_cached =
-          List.map
-            (fun src ->
-              Simcomp.Compiler.compile_cached ~cache:cache_a ~cov:cov_a
-                Simcomp.Compiler.Gcc opts src)
-            srcs
-        in
-        let cache_b = Simcomp.Compiler.cache_create () in
-        let cov_b = Simcomp.Coverage.create () in
-        let batch =
-          Simcomp.Compiler.batch_create ~cache:cache_b ~cov:cov_b
-            Simcomp.Compiler.Gcc opts
-        in
-        let via_batch =
-          List.map (fun src -> Simcomp.Compiler.batch_compile batch src) srcs
-        in
-        check Alcotest.bool "same outcomes and trees" true
-          (via_cached = via_batch);
-        check Alcotest.bool "same coverage" true
-          (Simcomp.Coverage.equal cov_a cov_b);
-        check Alcotest.int "same hits"
-          (Simcomp.Compiler.cache_hits cache_a)
-          (Simcomp.Compiler.cache_hits cache_b));
     tc "scratch reuse yields byte-identical assembly" (fun () ->
         (* per-domain scratch buffers (arena, token array, IR vectors)
            are reused across compiles: interleaving other compiles must
@@ -1164,12 +1269,8 @@ let compile_pipeline_tests =
              src);
         let cached_engine = Engine.Ctx.create () in
         let cache = Simcomp.Compiler.cache_create () in
-        ignore
-          (Simcomp.Compiler.compile_cached ~cache ~engine:cached_engine
-             Simcomp.Compiler.Gcc opts src);
-        ignore
-          (Simcomp.Compiler.compile_cached ~cache ~engine:cached_engine
-             Simcomp.Compiler.Gcc opts src);
+        ignore (cached ~cache ~engine:cached_engine src);
+        ignore (cached ~cache ~engine:cached_engine src);
         (* same compile.total / compile.outcome.* family, plus the
            compile.cached marker on the cached run; opt.pass.* counters
            count real pass executions (like spans) and are legitimately
@@ -1216,11 +1317,7 @@ let compile_pipeline_tests =
         in
         let cache = Simcomp.Compiler.cache_create () in
         let src = "int main(void) { return 1; }" in
-        let once () =
-          fst
-            (Simcomp.Compiler.compile_cached ~cache ~faults
-               Simcomp.Compiler.Gcc opts src)
-        in
+        let once () = fst (cached ~cache ~faults src) in
         (match (once (), once ()) with
         | Simcomp.Compiler.Crashed a, Simcomp.Compiler.Crashed b ->
           check Alcotest.string "same bug id" a.Simcomp.Crash.bug_id

@@ -107,15 +107,6 @@ let trace_tests =
           List.map (fun s -> s.Engine.Trace.sr_tid) (Engine.Trace.spans main)
         in
         check (Alcotest.list Alcotest.int) "tids" [ 0; 42 ] tids);
-    tc "set_tid re-tags subsequent spans (sequential campaign)" (fun () ->
-        let tr = Engine.Trace.create ~tid:1 () in
-        Engine.Trace.record tr ~name:"a" ~ts_ns:0L ~dur_ns:1L;
-        Engine.Trace.set_tid tr 2;
-        Engine.Trace.record tr ~name:"b" ~ts_ns:0L ~dur_ns:1L;
-        let tids =
-          List.map (fun s -> s.Engine.Trace.sr_tid) (Engine.Trace.spans tr)
-        in
-        check (Alcotest.list Alcotest.int) "tids" [ 1; 2 ] tids);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -538,10 +529,11 @@ let folded_tests =
           parent_total sum);
     tc "siblings on separate tids never nest" (fun () ->
         let tr = Engine.Trace.create () in
+        let worker = Engine.Trace.create ~tid:3 () in
         (* same wall-clock window, different threads: each is a root *)
         Engine.Trace.record tr ~name:"a" ~ts_ns:0L ~dur_ns:10_000L;
-        Engine.Trace.set_tid tr 3;
-        Engine.Trace.record tr ~name:"b" ~ts_ns:0L ~dur_ns:10_000L;
+        Engine.Trace.record worker ~name:"b" ~ts_ns:0L ~dur_ns:10_000L;
+        Engine.Trace.merge ~into:tr ~tid:3 worker;
         let paths =
           List.map
             (fun (p, _) -> String.concat ";" p)
@@ -644,14 +636,6 @@ let log_tests =
         Engine.Log.record b ~scope:"u1" ~level:Engine.Log.Warn ~event:"z" [];
         check Alcotest.string "same body"
           (Engine.Log.to_string a) (Engine.Log.to_string b));
-    tc "merge stamps the worker's records with the cell scope" (fun () ->
-        let worker = Engine.Log.create () in
-        Engine.Log.record worker ~level:Engine.Log.Info ~event:"w" [];
-        let main = Engine.Log.create () in
-        Engine.Log.merge ~into:main ~scope:"cell-1" worker;
-        match Engine.Log.records main with
-        | [ r ] -> check Alcotest.string "scope" "cell-1" r.Engine.Log.lr_scope
-        | _ -> Alcotest.fail "expected exactly one record");
     tc "records below the level are dropped at emission" (fun () ->
         let lg = Engine.Log.create ~level:Engine.Log.Warn () in
         Engine.Log.record lg ~level:Engine.Log.Debug ~event:"quiet" [];
@@ -827,14 +811,12 @@ let serve_tests =
             let _, _, body = http_get srv "/status.json" in
             check Alcotest.bool "done" true
               (is_infix ~affix:"\"done\": true" body)));
-    tc "/series.json records samples from the event sink" (fun () ->
-        with_serve (fun ctx srv ->
-            Engine.Serve.attach_sink srv;
-            Engine.Ctx.emit ctx
-              (Engine.Event.Compile_finished
-                 (Engine.Event.Compiled_ok, Engine.Event.Backend));
-            Engine.Ctx.emit ctx
-              (Engine.Event.Coverage_sampled { iteration = 5; covered = 42 });
+    tc "/series.json records samples from shard heartbeats" (fun () ->
+        with_serve (fun _ctx srv ->
+            Engine.Serve.note_shard srv ~shard:0 ~execs:7 ~covered:42
+              ~crashes:0;
+            (* the final sample is pushed however soon the run ends *)
+            Engine.Serve.set_done srv;
             let code, _, body = http_get srv "/series.json" in
             check Alcotest.int "200" 200 code;
             check Alcotest.bool "sample present" true
