@@ -279,8 +279,8 @@ if [ -x "$CLI" ]; then
 fi
 
 echo "== smoke: fuzz-throughput bench =="
-# Smoke mode keeps CI fast; this gate only checks the bench runs and
-# emits well-formed JSON — perf numbers are informational, not gating.
+# Smoke mode keeps CI fast.  Timings are informational, not gating;
+# the JSON's shape, minor words per compile and the fuzzing counts are.
 # Written under _build/ so a local run never tramples the committed
 # full-mode BENCH_fuzz_throughput.json at the repository root.
 BENCH=_build/default/bench/throughput.exe
@@ -307,6 +307,21 @@ if [ -x "$BENCH" ]; then
     exit 1
   fi
   echo "smoke minor-words/compile $SMOKE_WORDS within baseline $BASELINE x 1.15"
+  # Determinism gate: the smoke run's fuzzing outcome is fixed by its
+  # seeds, so these counts must match exactly.  A change that moves them
+  # changes what the fuzzer decides, and must update the pins and say why.
+  for PIN in covered_branches=1920 unique_crashes=8 compiles=757 \
+      compiles_cached=16; do
+    KEY=${PIN%%=*}
+    WANT=${PIN#*=}
+    GOT=$(sed -n "s/.*\"$KEY\": \([0-9]*\).*/\1/p" \
+      _build/BENCH_fuzz_throughput.json | head -n 1)
+    if [ "$GOT" != "$WANT" ]; then
+      echo "FAIL: smoke $KEY is ${GOT:-missing}, pinned at $WANT" >&2
+      exit 1
+    fi
+  done
+  echo "smoke covered_branches/unique_crashes/compiles/compiles_cached match the pins"
   # bad arguments exit 2 with a usage line instead of running the budget
   set +e
   "$BENCH" --iterations 5 > /dev/null 2> /tmp/throughput_usage.err

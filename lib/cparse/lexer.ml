@@ -170,7 +170,9 @@ let lex_escape st =
 let lex_number st =
   let start = st.pos in
   let is_hex_lit =
-    peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
+    match (peek st, peek2 st) with
+    | Some '0', Some ('x' | 'X') -> true
+    | _ -> false
   in
   if is_hex_lit then begin
     advance st; advance st;
@@ -178,12 +180,16 @@ let lex_number st =
   end
   else scan_while st is_digit;
   let is_float = ref false in
-  if (not is_hex_lit) && peek st = Some '.' then begin
+  if (not is_hex_lit) && (match peek st with Some '.' -> true | _ -> false)
+  then begin
     is_float := true;
     advance st;
     scan_while st is_digit
   end;
-  if (not is_hex_lit) && (peek st = Some 'e' || peek st = Some 'E') then begin
+  if
+    (not is_hex_lit)
+    && match peek st with Some ('e' | 'E') -> true | _ -> false
+  then begin
     is_float := true;
     advance st;
     (match peek st with Some ('+' | '-') -> advance st | _ -> ());
@@ -282,10 +288,9 @@ let next_token st : lexeme =
       | '~' -> advance st; Tilde
       | '.' ->
         advance st;
-        if peek st = Some '.' && peek2 st = Some '.' then begin
-          advance st; advance st; Ellipsis
-        end
-        else Dot
+        (match (peek st, peek2 st) with
+        | Some '.', Some '.' -> advance st; advance st; Ellipsis
+        | _ -> Dot)
       | '+' ->
         advance st;
         (match peek st with
@@ -367,12 +372,15 @@ let tokenize src : lexeme array =
     !arr.(!len) <- l;
     incr len
   in
+  (* a pattern match, not [<>]: the polymorphic compare was a C call
+     per token *)
   let rec go last =
-    if last.tok <> Token.Eof then begin
+    match last.tok with
+    | Token.Eof -> ()
+    | _ ->
       let l = next_token st in
       push l;
       go l
-    end
   in
   go first;
   if !len = Array.length !arr then !arr else Array.sub !arr 0 !len

@@ -12,7 +12,7 @@
    through {!Retry} and consult the [Io_failure] fault site per attempt,
    so the fault-injection suite exercises the retry path for real. *)
 
-let magic = "METAMUT-CKPT2"
+let magic = "METAMUT-CKPT3"
 
 let mkdir_p (dir : string) =
   let rec go d =

@@ -145,15 +145,16 @@ let sched_trim (st : state) =
     end
   done;
   st.pool <- pool';
-  for cell = 0 to Simcomp.Coverage.map_size - 1 do
-    let off = cell * 2 in
-    let cur = Bytes.get_uint16_le st.sched_top off in
-    if cur <> sched_none then Bytes.set_uint16_le st.sched_top off remap.(cur)
-  done
+  (* only covered cells can hold a claim: every claimed compile was
+     merged into the run's coverage *)
+  Simcomp.Coverage.iter_nonzero st.result.Fuzz_result.coverage (fun cell ->
+      let off = cell * 2 in
+      let cur = Bytes.get_uint16_le st.sched_top off in
+      if cur <> sched_none then Bytes.set_uint16_le st.sched_top off remap.(cur))
 
 (* Called after an accepted push: claim, then trim once the pool is 25%
-   past the limit (the slack amortizes the map-wide remap over many
-   accepts instead of paying it on every one). *)
+   past the limit (the slack amortizes the pool rebuild and claim remap
+   over many accepts instead of paying it on every one). *)
 let sched_accept (st : state) cov =
   let idx = Engine.Vec.length st.pool - 1 in
   sched_claim st idx (Engine.Vec.get st.pool idx) cov;
@@ -364,7 +365,7 @@ let step (st : state) ~iteration : unit =
                and consuming re-zeroes the scratch for the next compile.
                The scheduler must read the mutant's own cells *after*
                the accept decision (claim bookkeeping), so it merges
-               without consuming and drains below instead. *)
+               without consuming and resets below instead. *)
             let fresh =
               if st.cfg.schedule then
                 Simcomp.Coverage.merge ~into:st.result.Fuzz_result.coverage
@@ -402,7 +403,7 @@ let step (st : state) ~iteration : unit =
               | Simcomp.Compiler.Compile_error _
               | Simcomp.Compiler.Crashed _ -> ()
             end;
-            if st.cfg.schedule then Simcomp.Coverage.drain cov;
+            if st.cfg.schedule then Simcomp.Coverage.reset cov;
             Engine.Metrics.incr
               (if !accepted then mc.mc_accept else mc.mc_reject));
           try_mutators rest

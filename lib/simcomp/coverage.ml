@@ -10,27 +10,54 @@
    branch-predictable unboxed byte bump — no tuple, no [Hashtbl.hash],
    no heap traffic of any kind — because it fires thousands of times per
    compile (the feature-pair loop alone is O(n²) in feature buckets).
-   The distinct-branch count is maintained incrementally so [covered]
-   is O(1); [merge] is a word-at-a-time scan that skips the (almost
-   always zero) empty stretches of the mutant's map and returns the
-   fresh-branch count, which is Algorithm 1's acceptance signal. *)
+
+   Beside the bytes the map keeps the list of its nonzero cells
+   ([cells.(0 .. distinct-1)], in first-touch order): a cell is appended
+   when its counter leaves zero, so [distinct] is the list's length by
+   construction and [covered] is O(1).  A compile touches a few thousand
+   of the 2^20 cells, and every whole-map operation ([merge], [reset],
+   [iter_nonzero], ...) walks that list instead of scanning the map, so
+   its cost follows the branches touched, not the map size. *)
 
 type t = {
-  map : Bytes.t;           (* map_size saturating 8-bit hit counters *)
-  mutable hits : int;      (* total branch events, unsaturated *)
-  mutable distinct : int;  (* number of nonzero cells *)
+  map : Bytes.t;             (* map_size saturating 8-bit hit counters *)
+  mutable cells : int array; (* cells.(0 .. distinct-1): the nonzero cells *)
+  mutable hits : int;        (* total branch events, unsaturated *)
+  mutable distinct : int;    (* number of nonzero cells *)
 }
 
 let map_bits = 20
 let map_size = 1 lsl map_bits
 
-let create () = { map = Bytes.make map_size '\000'; hits = 0; distinct = 0 }
+(* Larger than [Max_young_wosize], so the list is born (and regrown) in
+   the major heap and never shows up in minor-word counts. *)
+let initial_cells = 1024
+
+let create () =
+  {
+    map = Bytes.make map_size '\000';
+    cells = Array.make initial_cells 0;
+    hits = 0;
+    distinct = 0;
+  }
+
+(* Record that cell [i] just left zero.  The list doubles when full; it
+   can never outgrow [map_size], since each cell is listed at most once. *)
+let add_cell cov i =
+  let n = cov.distinct in
+  if n = Array.length cov.cells then begin
+    let a = Array.make (2 * n) 0 in
+    Array.blit cov.cells 0 a 0 n;
+    cov.cells <- a
+  end;
+  Array.unsafe_set cov.cells n i;
+  cov.distinct <- n + 1
 
 let hit cov id =
   let i = id land (map_size - 1) in
   cov.hits <- cov.hits + 1;
   let c = Char.code (Bytes.unsafe_get cov.map i) in
-  if c = 0 then cov.distinct <- cov.distinct + 1;
+  if c = 0 then add_cell cov i;
   if c < 255 then Bytes.unsafe_set cov.map i (Char.unsafe_chr (c + 1))
 
 (* An integer mixer over the (site, a, b) triple: xmix/murmur-style
@@ -56,14 +83,16 @@ let covered cov = cov.distinct
 
 let total_hits cov = cov.hits
 
-let branch_ids cov =
-  let acc = ref [] in
-  for i = map_size - 1 downto 0 do
-    if Bytes.unsafe_get cov.map i <> '\000' then acc := i :: !acc
-  done;
-  !acc
+(* The touched list in increasing cell order (a sorted copy: the list
+   itself stays in first-touch order). *)
+let sorted_cells cov =
+  let a = Array.sub cov.cells 0 cov.distinct in
+  Array.sort Int.compare a;
+  a
 
-let words = map_size / 8
+let branch_ids cov = Array.to_list (sorted_cells cov)
+
+let iter_nonzero cov f = Array.iter f (sorted_cells cov)
 
 (* Merge [src] into [dst] (the macro fuzzer's shared coverage map).
    Returns the number of branches new to [dst] — [fresh > 0] is the
@@ -71,115 +100,52 @@ let words = map_size / 8
    one pass for both the accept decision and the accumulation. *)
 let merge ~into:dst src =
   let fresh = ref 0 in
-  for w = 0 to words - 1 do
-    if Bytes.get_int64_ne src.map (w * 8) <> 0L then begin
-      let base = w * 8 in
-      for i = base to base + 7 do
-        let s = Char.code (Bytes.unsafe_get src.map i) in
-        if s <> 0 then begin
-          let d = Char.code (Bytes.unsafe_get dst.map i) in
-          if d = 0 then begin
-            incr fresh;
-            dst.distinct <- dst.distinct + 1
-          end;
-          let sum = d + s in
-          Bytes.unsafe_set dst.map i
-            (Char.unsafe_chr (if sum > 255 then 255 else sum))
-        end
-      done
-    end
+  for k = 0 to src.distinct - 1 do
+    let i = Array.unsafe_get src.cells k in
+    let s = Char.code (Bytes.unsafe_get src.map i) in
+    let d = Char.code (Bytes.unsafe_get dst.map i) in
+    if d = 0 then begin
+      incr fresh;
+      add_cell dst i
+    end;
+    let sum = d + s in
+    Bytes.unsafe_set dst.map i (Char.unsafe_chr (if sum > 255 then 255 else sum))
   done;
   dst.hits <- dst.hits + src.hits;
   !fresh
 
-(* [merge] fused with the scratch-map reset: accumulate [src] into
-   [dst] and zero [src] in the same word-skipping pass.  Fuzz loops
-   reuse one scratch map per mutant; with this call the 1 MiB
-   [Bytes.fill] that [reset] would do before every compile collapses
-   into zeroing only the words the compile actually touched.  On return
-   [src] is pristine (all-zero map, hits = distinct = 0). *)
-let merge_consume ~into:dst src =
-  let fresh = ref 0 in
-  for w = 0 to words - 1 do
-    let base = w * 8 in
-    if Bytes.get_int64_ne src.map base <> 0L then begin
-      for i = base to base + 7 do
-        let s = Char.code (Bytes.unsafe_get src.map i) in
-        if s <> 0 then begin
-          let d = Char.code (Bytes.unsafe_get dst.map i) in
-          if d = 0 then begin
-            incr fresh;
-            dst.distinct <- dst.distinct + 1
-          end;
-          let sum = d + s in
-          Bytes.unsafe_set dst.map i
-            (Char.unsafe_chr (if sum > 255 then 255 else sum))
-        end
-      done;
-      Bytes.set_int64_ne src.map base 0L
-    end
-  done;
-  dst.hits <- dst.hits + src.hits;
-  src.hits <- 0;
-  src.distinct <- 0;
-  !fresh
-
-(* Word-skipping iteration over covered cell indices, in increasing
-   order.  The corpus scheduler uses this to update per-edge top-entry
-   claims on accept without materializing [branch_ids]'s list. *)
-let iter_nonzero cov f =
-  for w = 0 to words - 1 do
-    if Bytes.get_int64_ne cov.map (w * 8) <> 0L then begin
-      let base = w * 8 in
-      for i = base to base + 7 do
-        if Bytes.unsafe_get cov.map i <> '\000' then f i
-      done
-    end
-  done
-
-(* [reset] with the word-skipping scan of [merge_consume]: zero only
-   the words that are actually nonzero.  The scheduling path reads the
-   scratch map after the merge (claim bookkeeping needs the mutant's own
-   cells), so it cannot use [merge_consume]; this keeps the
-   full-map-memset-per-mutant from coming back. *)
-let drain cov =
-  for w = 0 to words - 1 do
-    let base = w * 8 in
-    if Bytes.get_int64_ne cov.map base <> 0L then
-      Bytes.set_int64_ne cov.map base 0L
+let reset cov =
+  for k = 0 to cov.distinct - 1 do
+    Bytes.unsafe_set cov.map (Array.unsafe_get cov.cells k) '\000'
   done;
   cov.hits <- 0;
   cov.distinct <- 0
 
-(* Does [src] cover any branch absent from [dst]?  Same word-skipping
-   scan as [merge] with an early exit; kept for read-only callers —
-   accept-and-accumulate paths should use [merge]'s return instead. *)
-let has_new_coverage ~seen:dst src =
-  let rec go w =
-    if w >= words then false
-    else if Bytes.get_int64_ne src.map (w * 8) = 0L then go (w + 1)
-    else begin
-      let base = w * 8 in
-      let found = ref false in
-      for i = base to base + 7 do
-        if
-          Bytes.unsafe_get src.map i <> '\000'
-          && Bytes.unsafe_get dst.map i = '\000'
-        then found := true
-      done;
-      !found || go (w + 1)
-    end
+(* kept for existing callers; new code says [reset] *)
+let drain = reset
+
+(* [merge], then [reset] of the source: the per-mutant scratch map ends
+   every compile pristine, ready for the next. *)
+let merge_consume ~into src =
+  let fresh = merge ~into src in
+  reset src;
+  fresh
+
+(* Does [src] cover any branch absent from [seen]?  Read-only, with an
+   early exit; accept-and-accumulate paths use [merge]'s return. *)
+let has_new_coverage ~seen src =
+  let rec go k =
+    k < src.distinct
+    && (Bytes.unsafe_get seen.map (Array.unsafe_get src.cells k) = '\000'
+       || go (k + 1))
   in
   go 0
 
-let reset cov =
-  Bytes.fill cov.map 0 map_size '\000';
-  cov.hits <- 0;
-  cov.distinct <- 0
-
-let copy cov = { map = Bytes.copy cov.map; hits = cov.hits; distinct = cov.distinct }
+let copy cov = { cov with map = Bytes.copy cov.map; cells = Array.copy cov.cells }
 
 (* Exact structural equality, for the checkpoint/resume tests: a resumed
-   run must reproduce the uninterrupted run's map bit-for-bit. *)
+   run must reproduce the uninterrupted run's map bit-for-bit.  The
+   touched lists hold the same cells whenever the maps are equal, so
+   their order is not compared. *)
 let equal a b =
   a.hits = b.hits && a.distinct = b.distinct && Bytes.equal a.map b.map

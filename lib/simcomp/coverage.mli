@@ -7,9 +7,13 @@
 
     The representation is an AFL-style edge map: a fixed byte array of
     [map_size] saturating 8-bit hit counters plus an exact total-hits
-    count.  {!hit} is allocation-free (no boxing, no hashing of boxed
-    tuples), {!covered} is O(1), and {!merge} is a single word-skipping
-    scan whose return value is the accept signal of Algorithm 1. *)
+    count, and beside it the list of the map's nonzero cells, appended
+    to when a cell leaves zero.  {!hit} is allocation-free once the list
+    has grown (no boxing, no hashing of boxed tuples), {!covered} is
+    O(1), and {!merge}, {!reset}, {!iter_nonzero} and the other
+    whole-map operations walk only the touched cells, so their cost
+    follows the branches a compile reached, not [map_size].  {!merge}'s
+    return value is the accept signal of Algorithm 1. *)
 
 type t
 (** A mutable coverage map. *)
@@ -20,12 +24,14 @@ val map_size : int
 
 val create : unit -> t
 (** A zeroed map.  Allocates [map_size] bytes: fuzz loops should create
-    one scratch map per campaign and {!reset} it per mutant rather than
-    allocating per compile. *)
+    one scratch map per campaign and {!merge_consume} it after every
+    compile rather than allocating per compile. *)
 
 val hit : t -> int -> unit
-(** Record one execution of branch [id mod map_size].  Performs no heap
-    allocation (the benchmark's [coverage_hit_minor_words] pins this). *)
+(** Record one execution of branch [id mod map_size].  Performs no
+    minor-heap allocation (the benchmark's [coverage_hit_minor_words]
+    pins this); the touched-cell list grows by doubling in the major
+    heap, so a warm scratch map allocates nothing at all. *)
 
 val branch : t -> site:int -> ?a:int -> ?b:int -> unit -> unit
 (** Report a branch at [site] with contextual values [a], [b]; the id is
@@ -54,22 +60,20 @@ val merge : into:t -> t -> int
     accumulation. *)
 
 val merge_consume : into:t -> t -> int
-(** {!merge} fused with {!reset}: accumulates the second map into
-    [into], zeroes the second map in the same word-skipping pass, and
-    returns the fresh-branch count.  After the call the source map is
-    pristine, so a scratch map cycled through [merge_consume] never
-    needs an up-front {!reset} — the full-map memset collapses into
-    zeroing only the words the compile touched. *)
+(** {!merge} followed by {!reset} of the second map: accumulates it
+    into [into] and returns the fresh-branch count.  After the call the
+    source map is pristine, so a scratch map cycled through compile →
+    [merge_consume] never needs an up-front {!reset}.  Cost is linear
+    in the source's covered cells. *)
 
 val iter_nonzero : t -> (int -> unit) -> unit
 (** Apply the callback to every covered cell index, in increasing
-    order, skipping zero words.  For accept-time bookkeeping (corpus
+    order (the touched list is sorted first, so the cost is
+    O(covered log covered)).  For accept-time bookkeeping (corpus
     scheduling) that must run before the map is consumed. *)
 
 val drain : t -> unit
-(** {!reset} via the word-skipping scan: zero only the nonzero words.
-    For paths that must read the scratch map between the merge and the
-    re-zero (scheduling claims) and so cannot use {!merge_consume}. *)
+(** Same as {!reset}; kept for existing callers. *)
 
 val has_new_coverage : seen:t -> t -> bool
 (** Does the second map cover a branch absent from [seen]?  Read-only
@@ -77,10 +81,12 @@ val has_new_coverage : seen:t -> t -> bool
     accumulate. *)
 
 val reset : t -> unit
-(** Zero the map in place (no allocation), for scratch-map reuse. *)
+(** Zero the map in place (no allocation), clearing only the touched
+    cells: the cost is linear in {!covered}, not in [map_size]. *)
 
 val copy : t -> t
 
 val equal : t -> t -> bool
 (** Bit-for-bit map equality (plus hit/distinct counts): the
-    checkpoint/resume identity check. *)
+    checkpoint/resume identity check.  The order in which cells were
+    first touched is not compared. *)

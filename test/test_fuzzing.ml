@@ -221,6 +221,52 @@ let mucfuzz_tests =
         let resumed = go ~resume:file () in
         check Alcotest.bool "resumed run identical" true
           (Fuzzing.Fuzz_result.equal full resumed));
+    tc "a snapshot with the previous format's magic is refused" (fun () ->
+        (* snapshots marshal Coverage.t, whose layout changed with the
+           CKPT3 magic: an older file must be refused before its payload
+           is unmarshalled, and the run must start over *)
+        let file =
+          Filename.concat (Filename.temp_dir "metamut-stale" "") "m.ckpt"
+        in
+        let cfg =
+          {
+            (Fuzzing.Mucfuzz.default_config ()) with
+            Fuzzing.Mucfuzz.max_attempts_per_iteration = 6;
+          }
+        in
+        let go ?engine ?checkpoint ?resume () =
+          Fuzzing.Mucfuzz.run ~cfg ?engine ?checkpoint ?resume
+            ~rng:(Rng.create 9) ~compiler:Simcomp.Compiler.Gcc
+            ~seeds:(Lazy.force seed_corpus) ~iterations:20 ~name:"t" ()
+        in
+        let full = go ~checkpoint:(file, 10) () in
+        let ic = open_in_bin file in
+        let magic = input_line ic in
+        let fingerprint = input_line ic in
+        let payload = really_input_string ic (in_channel_length ic - pos_in ic) in
+        close_in ic;
+        check Alcotest.string "current magic" "METAMUT-CKPT3" magic;
+        let oc = open_out_bin file in
+        output_string oc ("METAMUT-CKPT2\n" ^ fingerprint ^ "\n" ^ payload);
+        close_out oc;
+        (match
+           (Engine.Checkpoint.load ~path:file ~fingerprint
+             : (unit, string) result)
+         with
+        | Error e ->
+          check Alcotest.bool "refused as foreign" true
+            (Astring.String.is_infix ~affix:"not a checkpoint" e)
+        | Ok _ -> Alcotest.fail "old-magic snapshot was loaded");
+        let engine = Engine.Ctx.create () in
+        let restarted = go ~engine ~resume:file () in
+        let counter name =
+          Engine.Metrics.counter_value
+            (Engine.Metrics.counter engine.Engine.Ctx.metrics name)
+        in
+        check Alcotest.int "resume_failed" 1 (counter "mucfuzz.resume_failed");
+        check Alcotest.int "resumed" 0 (counter "mucfuzz.resumed");
+        check Alcotest.bool "ran from iteration 1" true
+          (Fuzzing.Fuzz_result.equal full restarted));
     tc "corpus scheduling is deterministic and keeps finding coverage"
       (fun () ->
         (* pool_max 8 on a 60-iteration run forces several trim cycles,

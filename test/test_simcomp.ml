@@ -127,6 +127,56 @@ let random_ids rng n =
       | 1 -> Rng.int rng Simcomp.Coverage.map_size
       | _ -> Rng.int rng (8 * Simcomp.Coverage.map_size))
 
+(* A dense reference: one plain count per cell, saturating at 255 like
+   the byte map, scanned in full by every query.  It pins the sparse
+   touched-cell list against the obvious definition of each operation. *)
+module Dense_cov = struct
+  let size = Simcomp.Coverage.map_size
+
+  type t = { counts : int array; mutable hits : int }
+
+  let create () = { counts = Array.make size 0; hits = 0 }
+
+  let hit m id =
+    let i = id land (size - 1) in
+    m.hits <- m.hits + 1;
+    m.counts.(i) <- min 255 (m.counts.(i) + 1)
+
+  let merge ~into src =
+    let fresh = ref 0 in
+    for i = 0 to size - 1 do
+      let s = src.counts.(i) in
+      if s > 0 then begin
+        if into.counts.(i) = 0 then incr fresh;
+        into.counts.(i) <- min 255 (into.counts.(i) + s)
+      end
+    done;
+    into.hits <- into.hits + src.hits;
+    !fresh
+
+  let reset m =
+    Array.fill m.counts 0 size 0;
+    m.hits <- 0
+
+  let blit ~src dst =
+    Array.blit src.counts 0 dst.counts 0 size;
+    dst.hits <- src.hits
+
+  let ids m =
+    let acc = ref [] in
+    for i = size - 1 downto 0 do
+      if m.counts.(i) > 0 then acc := i :: !acc
+    done;
+    !acc
+
+  let has_new ~seen src =
+    let found = ref false in
+    for i = 0 to size - 1 do
+      if src.counts.(i) > 0 && seen.counts.(i) = 0 then found := true
+    done;
+    !found
+end
+
 let bitmap_differential_tests =
   [
     tc "hit/covered/hits/ids match the Hashtbl reference" (fun () ->
@@ -225,6 +275,137 @@ let bitmap_differential_tests =
         let d = Simcomp.Coverage.create () in
         Simcomp.Coverage.hit d 5;
         check Alcotest.int "no fresh" 0 (Simcomp.Coverage.merge ~into:c d));
+    tc "random operation sequences match the dense reference" (fun () ->
+        let module C = Simcomp.Coverage in
+        let rng = Rng.create 1414 in
+        let n = 3 in
+        let maps = Array.init n (fun _ -> C.create ()) in
+        let models = Array.init n (fun _ -> Dense_cov.create ()) in
+        let agree step k =
+          let what s = Fmt.str "op %d, map %d: %s" step k s in
+          let m = maps.(k) and r = models.(k) in
+          let ids = Dense_cov.ids r in
+          check Alcotest.int (what "covered") (List.length ids) (C.covered m);
+          check Alcotest.int (what "hits") r.Dense_cov.hits (C.total_hits m);
+          check Alcotest.(list int) (what "branch_ids") ids (C.branch_ids m);
+          let seen = ref [] in
+          C.iter_nonzero m (fun i -> seen := i :: !seen);
+          check Alcotest.(list int) (what "iter_nonzero order") ids
+            (List.rev !seen);
+          if r.Dense_cov.hits = 0 && ids = [] then
+            check Alcotest.bool (what "pristine") true
+              (C.equal m (C.create ()))
+        in
+        let two () =
+          let a = Rng.int rng n in
+          (a, (a + 1 + Rng.int rng (n - 1)) mod n)
+        in
+        for step = 1 to 120 do
+          let touched =
+            match Rng.int rng 10 with
+            | 0 | 1 | 2 ->
+              let a = Rng.int rng n in
+              List.iter
+                (fun id ->
+                  C.hit maps.(a) id;
+                  Dense_cov.hit models.(a) id)
+                (random_ids rng (1 + Rng.int rng 80));
+              [ a ]
+            | 3 ->
+              (* drive one cell past the 8-bit counter *)
+              let a = Rng.int rng n and id = Rng.int rng 64 in
+              for _ = 1 to 200 + Rng.int rng 200 do
+                C.hit maps.(a) id;
+                Dense_cov.hit models.(a) id
+              done;
+              [ a ]
+            | 4 | 5 ->
+              let a, b = two () in
+              check Alcotest.bool "has_new"
+                (Dense_cov.has_new ~seen:models.(b) models.(a))
+                (C.has_new_coverage ~seen:maps.(b) maps.(a));
+              check Alcotest.int "merge fresh"
+                (Dense_cov.merge ~into:models.(b) models.(a))
+                (C.merge ~into:maps.(b) maps.(a));
+              [ a; b ]
+            | 6 ->
+              let a, b = two () in
+              check Alcotest.int "merge_consume fresh"
+                (Dense_cov.merge ~into:models.(b) models.(a))
+                (C.merge_consume ~into:maps.(b) maps.(a));
+              Dense_cov.reset models.(a);
+              [ a; b ]
+            | 7 ->
+              let a = Rng.int rng n in
+              C.drain maps.(a);
+              Dense_cov.reset models.(a);
+              [ a ]
+            | 8 ->
+              let a = Rng.int rng n in
+              C.reset maps.(a);
+              Dense_cov.reset models.(a);
+              [ a ]
+            | _ ->
+              let a, b = two () in
+              maps.(b) <- C.copy maps.(a);
+              Dense_cov.blit ~src:models.(a) models.(b);
+              check Alcotest.bool "copy is equal" true
+                (C.equal maps.(a) maps.(b));
+              [ b ]
+          in
+          List.iter (agree step) touched
+        done;
+        for a = 0 to n - 1 do
+          for b = 0 to n - 1 do
+            check Alcotest.bool "equal iff the references agree"
+              (models.(a) = models.(b))
+              (C.equal maps.(a) maps.(b))
+          done
+        done);
+    tc "a scratch map cycled through compile and merge_consume stays pristine"
+      (fun () ->
+        let rng = Rng.create 31 in
+        let seeds =
+          List.filter_map Fuzzing.Seeds.of_template Fuzzing.Seeds.templates
+        in
+        let srcs =
+          Array.of_list (seeds @ List.map (Fuzzing.Fragility.corrupt rng) seeds)
+        in
+        let scratch = Simcomp.Coverage.create () in
+        let pool = Simcomp.Coverage.create () in
+        for round = 0 to 999 do
+          let compiler =
+            if round mod 2 = 0 then Simcomp.Compiler.Gcc
+            else Simcomp.Compiler.Clang
+          in
+          ignore
+            (Simcomp.Compiler.compile ~cov:scratch compiler
+               {
+                 Simcomp.Compiler.default_options with
+                 opt_level = round mod 4;
+               }
+               srcs.(round mod Array.length srcs));
+          ignore (Simcomp.Coverage.merge_consume ~into:pool scratch)
+        done;
+        check Alcotest.bool "pool gained coverage" true
+          (Simcomp.Coverage.covered pool > 500);
+        check Alcotest.bool "scratch equals a fresh map" true
+          (Simcomp.Coverage.equal scratch (Simcomp.Coverage.create ())));
+    tc "hit allocates no minor words once warm" (fun () ->
+        let c = Simcomp.Coverage.create () in
+        let run () =
+          for i = 0 to 99_999 do
+            Simcomp.Coverage.hit c (i * 7919)
+          done
+        in
+        (* the first pass grows the touched-cell list *)
+        run ();
+        Simcomp.Coverage.reset c;
+        let before = Gc.minor_words () in
+        run ();
+        run ();
+        let after = Gc.minor_words () in
+        check (Alcotest.float 0.) "minor words" 0. (after -. before));
   ]
 
 (* ------------------------------------------------------------------ *)
