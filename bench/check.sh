@@ -29,19 +29,25 @@ if [ -x "$CLI" ]; then
   done
 fi
 
-echo "== smoke: the removed --jobs flag is refused =="
+echo "== smoke: the removed --jobs and --trace flags are refused =="
 if [ -x "$CLI" ]; then
   if "$CLI" campaign --iterations 5 --jobs 2 > /dev/null 2>&1; then
     echo "FAIL: campaign --jobs 2 was accepted" >&2
     exit 1
   fi
   echo "campaign --jobs 2 exits non-zero"
+  if "$CLI" fuzz -n 3 --trace > /dev/null 2>&1; then
+    echo "FAIL: fuzz --trace was accepted" >&2
+    exit 1
+  fi
+  echo "fuzz --trace exits non-zero"
 fi
 
 echo "== smoke: bad input fails with a diagnostic =="
-# Malformed programs, fault specs and mutator names must each print a
-# one-line diagnostic and exit non-zero, never cmdliner's exit-125
-# "internal error, uncaught exception" banner.
+# Malformed programs, fault specs, mutator and corpus names, and
+# out-of-range numbers must each print a one-line diagnostic and exit
+# non-zero, never cmdliner's exit-125 "internal error, uncaught
+# exception" banner.
 if [ -x "$CLI" ]; then
   BAD=$(mktemp -d)
   printf 'int main(void) { return undeclared; }\n' > "$BAD/type.c"
@@ -76,6 +82,14 @@ if [ -x "$CLI" ]; then
     env METAMUT_FAULT_SEED=abc "$CLI" fuzz -n 3
   bad_input "mutate -m NoSuch" "NoSuch" \
     "$CLI" mutate -m NoSuch "$BAD/type.c"
+  bad_input "fuzz --corpus nosuch" "--corpus" \
+    "$CLI" fuzz -n 3 --corpus nosuch
+  bad_input "passes -O 9" "'-O'" \
+    "$CLI" passes -O 9
+  bad_input "campaign --opt-matrix=-1" "--opt-matrix" \
+    "$CLI" campaign --iterations 5 --opt-matrix=-1
+  bad_input "campaign --shards=-2" "--shards" \
+    "$CLI" campaign --iterations 5 --shards=-2
   rm -rf "$BAD"
 fi
 

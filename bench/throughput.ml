@@ -208,27 +208,19 @@ let sharded_throughput n =
       }
     in
     let engine = Engine.Ctx.create () in
+    let total =
+      Engine.Metrics.counter engine.Engine.Ctx.metrics "compile.total"
+    in
+    let compiles () = Engine.Metrics.counter_value total in
     (* A full-mode lease is minutes of silent work — without heartbeats
        the pool's hang detector would kill a perfectly healthy worker.
        Same throttle as the campaign coordinator: one beat per ~200
        compiles. *)
-    let execs = ref 0 in
-    Engine.Event.add_sink engine.Engine.Ctx.bus
-      {
-        Engine.Event.sink_name = "bench-heartbeat";
-        emit =
-          (fun e ->
-            match e with
-            | Engine.Event.Compile_finished _ ->
-              incr execs;
-              if !execs mod 200 = 0 then
-                heartbeat ~execs:!execs ~covered:0 ~crashes:0
-            | _ -> ());
-      };
-    let compiles () =
-      Engine.Metrics.counter_value
-        (Engine.Metrics.counter engine.Engine.Ctx.metrics "compile.total")
-    in
+    Engine.Ctx.observe engine (function
+      | Engine.Ctx.Compiled ->
+        let n = compiles () in
+        if n mod 200 = 0 then heartbeat ~execs:n ~covered:0 ~crashes:0
+      | Engine.Ctx.Sampled -> ());
     let t0 = Unix.gettimeofday () in
     let r =
       Fuzzing.Mucfuzz.run ~cfg ~engine

@@ -362,9 +362,28 @@ let mutate_cmd =
 let compiler_conv =
   Arg.enum [ ("gcc", Simcomp.Compiler.Gcc); ("clang", Simcomp.Compiler.Clang) ]
 
+(* An integer flag with a valid range: anything outside it is a
+   one-line usage error naming the flag (exit 124), not a silent
+   clamp. *)
+let int_in ~min ?(max = max_int) () =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min && n <= max -> Ok n
+    | None -> Error (`Msg (Fmt.str "expected an integer, got %S" s))
+    | Some _ when max = max_int -> Error (`Msg (Fmt.str "must be >= %d" min))
+    | Some _ -> Error (`Msg (Fmt.str "must be %d..%d" min max))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let opt_level_conv = int_in ~min:0 ~max:3 ()
+
 (* Shared pass-pipeline flags: -O, --fno PASS (repeatable), --passes. *)
 let options_term =
-  let opt = Arg.(value & opt int 2 & info [ "O" ] ~doc:"Optimization level.") in
+  let opt =
+    Arg.(
+      value & opt opt_level_conv 2
+      & info [ "O" ] ~docv:"LEVEL" ~doc:"Optimization level, 0 to 3.")
+  in
   let fno =
     Arg.(
       value & opt_all string []
@@ -537,17 +556,10 @@ let bisect_cmd =
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let fuzz compiler iterations seed corpus_kind sample_every schedule pool_max
-    faults metrics trace telemetry status log_spec =
+let fuzz compiler iterations seed mutators sample_every schedule pool_max
+    faults metrics telemetry status log_spec =
   let rng = Cparse.Rng.create seed in
   let seeds = Fuzzing.Seeds.corpus ~n:50 (Cparse.Rng.create seed) in
-  let mutators =
-    match corpus_kind with
-    | "supervised" -> Mutators.Registry.supervised
-    | "unsupervised" -> Mutators.Registry.unsupervised
-    | "extended" -> Mutators.Registry.extended
-    | _ -> Mutators.Registry.core
-  in
   let cfg =
     { (Fuzzing.Mucfuzz.default_config ~mutators ()) with
       Fuzzing.Mucfuzz.max_attempts_per_iteration = 16;
@@ -562,9 +574,6 @@ let fuzz compiler iterations seed corpus_kind sample_every schedule pool_max
   Option.iter
     (fun (_, level) -> ignore (Engine.Ctx.enable_log ~level engine))
     log_spec;
-  if trace then
-    Engine.Event.add_sink engine.Engine.Ctx.bus
-      (Engine.Event.text_sink ~out:(fun line -> Fmt.epr "%s@." line));
   let tel =
     Option.map (fun dir -> Engine.Telemetry.attach ~dir engine) telemetry
   in
@@ -611,15 +620,18 @@ let fuzz_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let corpus =
     Arg.(
-      value & opt string "core"
+      value
+      & opt
+          (enum
+             [
+               ("core", Mutators.Registry.core);
+               ("supervised", Mutators.Registry.supervised);
+               ("unsupervised", Mutators.Registry.unsupervised);
+               ("extended", Mutators.Registry.extended);
+             ])
+          Mutators.Registry.core
       & info [ "corpus" ]
           ~doc:"Mutator corpus: core, supervised, unsupervised, extended.")
-  in
-  let trace =
-    Arg.(
-      value & flag
-      & info [ "trace" ]
-          ~doc:"Stream engine events to stderr (line-oriented text sink).")
   in
   let sample_every =
     Arg.(
@@ -649,8 +661,8 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~doc:"Run the uCFuzz coverage-guided fuzzer")
     Term.(
       const fuzz $ compiler $ iterations $ seed $ corpus $ sample_every
-      $ schedule $ pool_max $ faults_term $ metrics_flag $ trace
-      $ telemetry_flag $ status_flag $ log_flag)
+      $ schedule $ pool_max $ faults_term $ metrics_flag $ telemetry_flag
+      $ status_flag $ log_flag)
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -1023,7 +1035,8 @@ let campaign_cmd =
   in
   let shards =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_in ~min:0 ()) 0
       & info [ "shards" ]
           ~doc:
             "Deal campaign cells to $(docv) worker $(i,processes) \
@@ -1036,7 +1049,8 @@ let campaign_cmd =
   in
   let opt_matrix =
     Arg.(
-      value & opt (list int) []
+      value
+      & opt (list opt_level_conv) []
       & info [ "opt-matrix" ] ~docv:"L1,L2,..."
           ~doc:
             "Cross every cell with these $(b,-O) levels (e.g. \

@@ -1,10 +1,14 @@
-(* The live TTY status line: a bus sink that folds the event stream into
-   a one-line summary (execs/s, covered edges, crashes, retry
-   recoveries) rewritten in place with \r.
+(* The live TTY status line: a one-line summary (execs/s, covered edges,
+   crashes, retry recoveries) rewritten in place with \r.
+
+   Its one input is [update] (absolute totals).  Attached to a context,
+   it feeds [update] on every progress tick from the registry's compile
+   counters and the context's latest trend sample; the sharded
+   coordinator feeds it folded worker heartbeats instead.
 
    Long campaigns plateau; the line calls it out by counting consecutive
-   Coverage_sampled events with no new edges.  Rendering is throttled by
-   the context clock so a hot fuzz loop pays one comparison per event,
+   trend samples with no new edges.  Rendering is throttled by the
+   context clock so a hot fuzz loop pays one comparison per compile,
    not one terminal write. *)
 
 type t = {
@@ -12,12 +16,12 @@ type t = {
   out : string -> unit;
   interval_ns : int64;
   label : string;
-  mutable sink : Event.sink;
+  mutable observer : Ctx.tick -> unit;
   mutable last_render_ns : int64;
   mutable started_ns : int64;
-  mutable execs : int;            (* Compile_finished events *)
-  mutable crashes : int;          (* distinct Crash_found events seen *)
-  mutable covered : int;          (* last Coverage_sampled value *)
+  mutable execs : int;            (* compiles *)
+  mutable crashes : int;          (* crashed compile outcomes *)
+  mutable covered : int;          (* highest covered count seen *)
   mutable iteration : int;        (* last sampled iteration *)
   mutable plateau : int;          (* consecutive flat coverage samples *)
   mutable rendered : bool;        (* something was written (needs clearing) *)
@@ -31,14 +35,11 @@ let tty_owner_flag = ref true
 let set_tty_owner b = tty_owner_flag := b
 let tty_owner () = !tty_owner_flag
 
-let counter_value (ctx : Ctx.t) name =
-  Metrics.counter_value (Metrics.counter ctx.Ctx.metrics name)
-
 (* Recoveries across the retry/supervision layers, surfaced as one
    number: transient failures the run absorbed rather than died from. *)
 let recoveries (ctx : Ctx.t) =
-  counter_value ctx "pipeline.retry.recovered"
-  + counter_value ctx "shard.requeued"
+  Ctx.counter_value ctx "pipeline.retry.recovered"
+  + Ctx.counter_value ctx "shard.requeued"
 
 let line (t : t) : string =
   let elapsed_s =
@@ -55,7 +56,7 @@ let line (t : t) : string =
   if rec_ > 0 then Buffer.add_string buf (Fmt.str " | %d recovered" rec_);
   (* units the governor set aside: visible the moment it happens, since
      the report only lands at the end of the run *)
-  let quarantined = counter_value t.ctx "shard.quarantined" in
+  let quarantined = Ctx.counter_value t.ctx "shard.quarantined" in
   if quarantined > 0 then
     Buffer.add_string buf (Fmt.str " | %d quarantined" quarantined);
   if t.plateau >= 3 then
@@ -79,6 +80,19 @@ let default_out s =
   output_string stderr s;
   flush stderr
 
+(* Absolute totals in.  Coverage is monotone: a heartbeat fold can
+   transiently regress (a crashed shard's last beat drops out of the
+   table), and the line must not un-count edges. *)
+let update (t : t) ?iteration ~execs ~covered ~crashes () =
+  t.execs <- execs;
+  t.crashes <- crashes;
+  (match iteration with Some i -> t.iteration <- i | None -> ());
+  if covered > t.covered then begin
+    t.plateau <- 0;
+    t.covered <- covered
+  end;
+  maybe_render t
+
 let attach ?(out = default_out) ?(interval_ns = 200_000_000L)
     ?(label = "fuzz") (ctx : Ctx.t) : t =
   let now = Ctx.now_ns ctx in
@@ -88,7 +102,7 @@ let attach ?(out = default_out) ?(interval_ns = 200_000_000L)
       out;
       interval_ns;
       label;
-      sink = Event.null_sink;
+      observer = ignore;
       last_render_ns = now;
       started_ns = now;
       execs = 0;
@@ -99,25 +113,24 @@ let attach ?(out = default_out) ?(interval_ns = 200_000_000L)
       rendered = false;
     }
   in
-  let sink =
-    {
-      Event.sink_name = "status";
-      emit =
-        (fun e ->
-          (match e with
-          | Event.Compile_finished _ -> t.execs <- t.execs + 1
-          | Event.Crash_found _ -> t.crashes <- t.crashes + 1
-          | Event.Coverage_sampled { iteration; covered } ->
-            t.iteration <- iteration;
-            if covered > t.covered then t.plateau <- 0
-            else t.plateau <- t.plateau + 1;
-            t.covered <- covered
-          | _ -> ());
-          maybe_render t);
-    }
+  let observer tick =
+    let iteration =
+      match tick with
+      | Ctx.Compiled -> None
+      | Ctx.Sampled ->
+        (* a sample that gains nothing extends the streak; one that
+           gains resets it inside [update] *)
+        if ctx.Ctx.sample_covered <= t.covered then t.plateau <- t.plateau + 1;
+        Some ctx.Ctx.sample_iteration
+    in
+    update t ?iteration
+      ~execs:(Ctx.counter_value ctx "compile.total")
+      ~covered:ctx.Ctx.sample_covered
+      ~crashes:(Ctx.counter_value ctx "compile.outcome.crash")
+      ()
   in
-  t.sink <- sink;
-  Event.add_sink ctx.Ctx.bus sink;
+  t.observer <- observer;
+  Ctx.observe ctx observer;
   t
 
 (* Heartbeat folding: execs and crashes are per-shard disjoint work, so
@@ -130,23 +143,8 @@ let fold_heartbeats (beats : (int * int * int) list) : int * int * int =
     (fun (ae, ac, ak) (e, c, k) -> (ae + e, max ac c, ak + k))
     (0, 0, 0) beats
 
-(* Aggregated external feed: the sharded coordinator has no events on
-   its own bus (work happens in worker processes), so it pushes absolute
-   totals folded from heartbeats instead.  Coverage is monotone: a
-   heartbeat fold can transiently regress (a crashed shard's last beat
-   drops out of the table), and the line must not un-count edges. *)
-let update (t : t) ?iteration ~execs ~covered ~crashes () =
-  t.execs <- execs;
-  t.crashes <- crashes;
-  (match iteration with Some i -> t.iteration <- i | None -> ());
-  if covered > t.covered then begin
-    t.plateau <- 0;
-    t.covered <- covered
-  end;
-  maybe_render t
-
 (* Final render + clear: leave the summary as an ordinary stderr line so
    the terminal scrollback keeps the last state. *)
 let finish (t : t) =
-  Event.remove_sink t.ctx.Ctx.bus t.sink;
+  Ctx.unobserve t.ctx t.observer;
   if t.rendered && tty_owner () then t.out ("\r\027[K" ^ line t ^ "\n")

@@ -1,10 +1,12 @@
 (** Live TTY status line for long-running fuzz/campaign loops.
 
-    A bus sink folds the event stream into a single line — iteration,
-    execs/s, covered edges, crashes, retry recoveries, plateau streak —
-    rewritten in place on stderr (or a custom [out]) at most once per
-    [interval_ns].  Plateau detection counts consecutive
-    [Coverage_sampled] events that gained no edges. *)
+    One line — iteration, execs/s, covered edges, crashes, retry
+    recoveries, plateau streak — rewritten in place on stderr (or a
+    custom [out]) at most once per [interval_ns].  Its only input is
+    {!update}: {!attach} feeds it on every {!Ctx} progress tick from the
+    [compile.total] and [compile.outcome.crash] counters and the latest
+    trend sample.  Plateau detection counts consecutive trend samples
+    that gained no edges. *)
 
 type t
 
@@ -22,7 +24,7 @@ val attach :
   ?label:string ->
   Ctx.t ->
   t
-(** Install the status sink on the context bus.  [out] defaults to
+(** Observe the context's progress tick.  [out] defaults to
     writing stderr (with [\r\027\[K] in-place rewriting); [interval_ns]
     defaults to 200ms; [label] prefixes the line (default ["fuzz"]). *)
 
@@ -37,12 +39,12 @@ val fold_heartbeats : (int * int * int) list -> int * int * int
 
 val update :
   t -> ?iteration:int -> execs:int -> covered:int -> crashes:int -> unit -> unit
-(** Feed absolute aggregate totals from outside the event bus and
-    render (throttled).  The sharded coordinator folds worker
-    heartbeats into one line this way — no events reach its own bus.
+(** Feed absolute aggregate totals and render (throttled).  The tick
+    observer calls this; the sharded coordinator, whose own context
+    never compiles, folds worker heartbeats into one line the same way.
     Covered is monotone (a regressing feed — e.g. a crashed shard's
     beat dropping out of the fold — never un-counts edges). *)
 
 val finish : t -> unit
-(** Detach the sink and, if anything was rendered, leave a final
+(** Stop observing and, if anything was rendered, leave a final
     newline-terminated summary so scrollback keeps the last state. *)

@@ -1,9 +1,9 @@
 (* The telemetry export layer: machine-readable artifacts over the
-   existing metrics/event/span machinery.
+   existing metrics/span machinery.
 
    Attaching telemetry to a context enables span tracing and the GC
-   probe and installs a periodic sink that rewrites the metrics
-   snapshot files every few Coverage_sampled events; finalize writes
+   probe and observes the progress tick, rewriting the metrics
+   snapshot files every few coverage-trend samples; finalize writes
    the at-exit snapshot, the Chrome trace, and (optionally) the
    post-run markdown report.
 
@@ -17,9 +17,8 @@
 type t = {
   dir : string;
   ctx : Ctx.t;
-  flush_every : int;          (* metrics flush per N Coverage_sampled *)
-  mutable samples_seen : int;
-  mutable sink : Event.sink;
+  flush_every : int;          (* metrics flush per N trend samples *)
+  mutable observer : Ctx.tick -> unit;
   c_flushes : Metrics.counter;
 }
 
@@ -149,9 +148,10 @@ let json_of_snapshot (snapshot : (string * Metrics.value) list) : string =
 
 (* Families whose values are wall-clock or machine state: span duration
    histograms, GC probe readings, and telemetry's own flush counter
-   (periodic flushes ride main-bus events, which parallel workers never
-   deliver).  Everything else — counters, event tallies, per-mutator
-   families — must be identical at any job count. *)
+   (periodic flushes ride the trend samples of the context telemetry
+   observes, which worker contexts never reach).  Everything else —
+   counters, outcome tallies, per-mutator families — must be identical
+   at any job count. *)
 let nondeterministic_family name =
   String.starts_with ~prefix:"span." name
   || String.starts_with ~prefix:"gc." name
@@ -254,27 +254,19 @@ let attach ?(flush_every = 4) ?(tid = 0) ?probe_batch ~dir (ctx : Ctx.t) : t =
       dir;
       ctx;
       flush_every = max 1 flush_every;
-      samples_seen = 0;
-      sink = Event.null_sink;
+      observer = ignore;
       c_flushes = Metrics.counter ctx.Ctx.metrics "telemetry.flushes";
     }
   in
   (* periodic snapshots ride the coverage-trend cadence: one metrics
-     rewrite every [flush_every] Coverage_sampled events keeps long
-     campaigns observable without touching the per-mutant hot path *)
-  let sink =
-    {
-      Event.sink_name = "telemetry";
-      emit =
-        (function
-        | Event.Coverage_sampled _ ->
-          t.samples_seen <- t.samples_seen + 1;
-          if t.samples_seen mod t.flush_every = 0 then flush_metrics t
-        | _ -> ());
-    }
+     rewrite every [flush_every]-th sample keeps long campaigns
+     observable without touching the per-mutant hot path *)
+  let observer = function
+    | Ctx.Sampled when ctx.Ctx.samples mod t.flush_every = 0 -> flush_metrics t
+    | Ctx.Sampled | Ctx.Compiled -> ()
   in
-  t.sink <- sink;
-  Event.add_sink ctx.Ctx.bus sink;
+  t.observer <- observer;
+  Ctx.observe ctx observer;
   t
 
 let write_trace (t : t) =
@@ -288,7 +280,7 @@ let write_trace (t : t) =
 
 let finalize ?report (t : t) =
   Option.iter Probe.sample t.ctx.Ctx.probe;
-  Event.remove_sink t.ctx.Ctx.bus t.sink;
+  Ctx.unobserve t.ctx t.observer;
   (* the flush counter is part of the snapshot, so bump before writing *)
   flush_metrics t;
   write_trace t;

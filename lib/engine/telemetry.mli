@@ -1,10 +1,10 @@
 (** The telemetry export layer: machine-readable artifacts over the
-    metrics/event/span machinery, written under a [--telemetry DIR].
+    metrics/span machinery, written under a [--telemetry DIR].
 
     {!attach} enables span tracing and the GC probe on a context and
-    installs a periodic sink that rewrites the metrics snapshot files
-    ([metrics.prom], [metrics.json]) every few [Coverage_sampled]
-    events; {!finalize} writes the at-exit snapshot, the Chrome trace
+    observes its progress tick, rewriting the metrics snapshot files
+    ([metrics.prom], [metrics.json]) every few coverage-trend samples;
+    {!finalize} writes the at-exit snapshot, the Chrome trace
     ([trace.jsonl]), and optionally the post-run markdown report
     ([campaign-report.md]).
 
@@ -20,8 +20,8 @@ val attach :
   ?flush_every:int -> ?tid:int -> ?probe_batch:int -> dir:string -> Ctx.t -> t
 (** Create [dir], enable tracing (spans tagged [tid], default 0) and
     the GC probe on the context, and start periodic metrics snapshots
-    (one rewrite per [flush_every] (default 4) [Coverage_sampled]
-    events). *)
+    (one rewrite on every [flush_every]-th (default 4) trend sample the
+    context takes). *)
 
 val flush_metrics : t -> unit
 (** Atomically rewrite [metrics.prom] and [metrics.json] from the
@@ -29,7 +29,7 @@ val flush_metrics : t -> unit
     a torn snapshot).  Also bumps the ["telemetry.flushes"] counter. *)
 
 val finalize : ?report:string -> t -> unit
-(** Final probe sample, detach the periodic sink, write the at-exit
+(** Final probe sample, stop observing the tick, write the at-exit
     metrics snapshot, [trace.jsonl], [profile.folded], and
     [mutator-yield.json] (when the registry has mutator families), and
     — when [report] is given — [campaign-report.md]. *)

@@ -89,17 +89,13 @@ let havoc_byte_mutation (rng : Rng.t) (src : string) : string =
   end
 
 (* Trend sampling for the hand-rolled baseline loops: record the point
-   and, when an engine context is threaded, publish it as a
-   Coverage_sampled event so telemetry snapshots and the status line see
-   baseline cells too. *)
+   and, when an engine context is threaded, hand it to the context's
+   progress tick so telemetry snapshots and the status line see baseline
+   cells too. *)
 let sample_point ?engine trend ~iteration (result : Fuzz_result.t) =
   let covered = Simcomp.Coverage.covered result.Fuzz_result.coverage in
   trend := (iteration, covered) :: !trend;
-  match engine with
-  | None -> ()
-  | Some ctx ->
-    Engine.Ctx.emit ctx
-      (Engine.Event.Coverage_sampled { iteration; covered })
+  Option.iter (fun ctx -> Engine.Ctx.sample ctx ~iteration ~covered) engine
 
 (* The trend always ends at the final iteration (the satellite rule
    Mucfuzz.run also follows): skip only when the periodic cadence
@@ -108,18 +104,6 @@ let sample_final ?engine trend ~iterations result =
   match !trend with
   | (last, _) :: _ when last = iterations -> ()
   | _ -> sample_point ?engine trend ~iteration:iterations result
-
-let emit_crash ?engine ~iteration (c : Simcomp.Crash.t) =
-  match engine with
-  | None -> ()
-  | Some ctx ->
-    Engine.Ctx.emit ctx
-      (Engine.Event.Crash_found
-         {
-           key = Simcomp.Crash.unique_key c;
-           stage = Simcomp.Compiler.engine_stage c.Simcomp.Crash.stage;
-           iteration;
-         })
 
 let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
     ~rng ~compiler ~seeds ~iterations ~sample_every () : Fuzz_result.t =
@@ -156,8 +140,7 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
       | Simcomp.Compiler.Compiled _ ->
         result := { !result with compilable_mutants = !result.compilable_mutants + 1 }
       | Simcomp.Compiler.Crashed c ->
-        Fuzz_result.record_crash !result ~iteration:i ~input:mutant c;
-        emit_crash ?engine ~iteration:i c
+        Fuzz_result.record_crash !result ~iteration:i ~input:mutant c
       | Simcomp.Compiler.Compile_error _ -> ());
       (* the merged fresh count doubles as the accept signal, and
          consuming leaves the scratch map pristine for the next compile *)
@@ -196,8 +179,7 @@ let run_generator ?engine ?faults ?(options = Simcomp.Compiler.default_options)
     | Simcomp.Compiler.Compiled _ ->
       result := { !result with compilable_mutants = !result.compilable_mutants + 1 }
     | Simcomp.Compiler.Crashed c ->
-      Fuzz_result.record_crash !result ~iteration:i ~input:src c;
-      emit_crash ?engine ~iteration:i c
+      Fuzz_result.record_crash !result ~iteration:i ~input:src c
     | Simcomp.Compiler.Compile_error _ -> ());
     ignore
       (Simcomp.Coverage.merge_consume ~into:!result.Fuzz_result.coverage

@@ -101,14 +101,7 @@ type worker_result = {
   wr_metrics : Engine.Metrics.t;
   wr_trace : Engine.Trace.t option;
   wr_log : Engine.Log.record list;
-  (* the flight recorder: the lease's last events (capped ring), riding
-     every clean Result frame so a postmortem of a *later* failure has
-     the previous attempt's tail without rerunning under tracing *)
-  wr_flight_seen : int;
-  wr_flight : string list;
 }
-
-let flight_capacity = 64
 
 (* [counters] are worker-lifetime cumulative (see the Heartbeat frame
    doc): the coordinator's per-shard fold stays monotone across leases. *)
@@ -120,29 +113,22 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
   Option.iter
     (fun level -> ignore (Engine.Ctx.enable_log ~level ctx))
     l.l_log;
-  let flight, flight_sink = Engine.Event.ring_sink ~capacity:flight_capacity in
-  Engine.Event.add_sink ctx.Engine.Ctx.bus flight_sink;
   let execs, covered, crashes = counters in
+  (* the lease's crashes come from its own registry, on top of what
+     earlier leases on this worker reported *)
+  let crashes_before = !crashes in
   let beat () =
+    crashes :=
+      crashes_before + Engine.Ctx.counter_value ctx "compile.outcome.crash";
     heartbeat ~execs:!execs ~covered:!covered ~crashes:!crashes
   in
-  let sink =
-    {
-      Engine.Event.sink_name = "shard-heartbeat";
-      emit =
-        (fun e ->
-          match e with
-          | Engine.Event.Compile_finished _ ->
-            incr execs;
-            (* throttled: one frame per ~200 compiles keeps the socket
-               quiet while the line still moves every second *)
-            if !execs mod 200 = 0 then beat ()
-          | Engine.Event.Crash_found _ -> incr crashes
-          | Engine.Event.Coverage_sampled { covered = c; _ } -> covered := c
-          | _ -> ());
-    }
-  in
-  Engine.Event.add_sink ctx.Engine.Ctx.bus sink;
+  Engine.Ctx.observe ctx (function
+    | Engine.Ctx.Compiled ->
+      incr execs;
+      (* throttled: one frame per ~200 compiles keeps the socket quiet
+         while the line still moves every second *)
+      if !execs mod 200 = 0 then beat ()
+    | Engine.Ctx.Sampled -> covered := ctx.Engine.Ctx.sample_covered);
   let cfg = l.l_cfg in
   let ckpt_every = max 1 (cfg.Campaign.sample_every * 5) in
   let checkpoint =
@@ -154,14 +140,11 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
     | _ -> None
   in
   let r =
-    Fun.protect
-      ~finally:(fun () -> Engine.Event.remove_sink ctx.Engine.Ctx.bus sink)
-      (fun () ->
-        Campaign.run_one ~engine:ctx
-          ?faults:(unit_faults l.l_faults u)
-          ?checkpoint ?resume
-          ?options:(unit_options u)
-          cfg u.u_fuzzer u.u_compiler)
+    Campaign.run_one ~engine:ctx
+      ?faults:(unit_faults l.l_faults u)
+      ?checkpoint ?resume
+      ?options:(unit_options u)
+      cfg u.u_fuzzer u.u_compiler
   in
   (* flush the partial GC batch so the merge sees this unit's tail *)
   Option.iter Engine.Probe.sample ctx.Engine.Ctx.probe;
@@ -173,7 +156,6 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
            r))
     l.l_checkpoint;
   beat ();
-  Engine.Event.remove_sink ctx.Engine.Ctx.bus flight_sink;
   {
     wr_result = r;
     wr_metrics = ctx.Engine.Ctx.metrics;
@@ -182,9 +164,6 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
       (match ctx.Engine.Ctx.log with
       | Some lg -> Engine.Log.records lg
       | None -> []);
-    wr_flight_seen = Engine.Event.ring_seen flight;
-    wr_flight =
-      List.map Engine.Event.to_string (Engine.Event.ring_contents flight);
   }
 
 (* The pool work function: decode, execute, encode.  One server closure

@@ -103,8 +103,7 @@ val run :
     its per-shard table, quarantines its list, and the socket is polled
     once per supervision round.  [flight_dir] enables the flight
     recorder: each quarantined unit dumps its supervision trail to
-    [flight-<unit>.json] there, and clean worker results ship their
-    last in-process events back in the result frame.
+    [flight-<unit>.json] there.
 
     When [engine] carries a {!Engine.Log.t}, leases instruct workers to
     record at the same level; worker log bodies are replayed into the

@@ -6,9 +6,9 @@
    P' then joins the pool.  No havoc, no forking, no pool culling.
 
    Every run owns an Engine.Ctx: attempts/accepts/rejects are counted
-   per mutator, compile outcomes and crashes become events, and the
-   coverage trend is collected by a Coverage_sampled sink instead of a
-   hand-rolled list. *)
+   per mutator, compile outcomes are counted by the compiler, and
+   every coverage-trend sample is kept on the run's own list and handed
+   to the context's progress tick. *)
 
 open Cparse
 
@@ -64,8 +64,7 @@ type state = {
   options : Simcomp.Compiler.options;
   engine : Engine.Ctx.t;
   per_mutator : (string, mutator_counters) Hashtbl.t;
-  trend_rev : (int * int) list ref;  (* fed by the trend sink *)
-  trend_sink : Engine.Event.sink;
+  mutable trend_rev : (int * int) list;  (* newest sample first *)
   (* pool/cache/faults are replaced wholesale on checkpoint resume *)
   mutable pool : pool_entry Engine.Vec.t; (* amortized-O(1) accepts *)
   scratch : Simcomp.Coverage.t; (* per-mutant map, consumed not realloc'd *)
@@ -200,6 +199,13 @@ let mutator_counters (st : state) (m : Mutators.Mutator.t) =
     Hashtbl.replace st.per_mutator name c;
     c
 
+(* One coverage-trend point: onto the run's own list, then out on the
+   context's progress tick. *)
+let record_sample (st : state) ~iteration =
+  let covered = Simcomp.Coverage.covered st.result.Fuzz_result.coverage in
+  st.trend_rev <- (iteration, covered) :: st.trend_rev;
+  Engine.Ctx.sample st.engine ~iteration ~covered
+
 let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
     ~rng ~compiler ~(seeds : string list) () : state =
   let pool =
@@ -213,21 +219,6 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
   let engine =
     match engine with Some e -> e | None -> Engine.Ctx.create ()
   in
-  (* the coverage trend is an event stream: sample_trend emits
-     Coverage_sampled and this sink (detached at the end of [run])
-     collects the samples *)
-  let trend_rev = ref [] in
-  let trend_sink =
-    {
-      Engine.Event.sink_name = "mucfuzz.trend";
-      emit =
-        (function
-        | Engine.Event.Coverage_sampled { iteration; covered } ->
-          trend_rev := (iteration, covered) :: !trend_rev
-        | _ -> ());
-    }
-  in
-  Engine.Event.add_sink engine.Engine.Ctx.bus trend_sink;
   let scratch = Simcomp.Coverage.create () in
   let cache = Simcomp.Compiler.cache_create () in
   let st =
@@ -238,8 +229,7 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
       options;
       engine;
       per_mutator = Hashtbl.create 160;
-      trend_rev;
-      trend_sink;
+      trend_rev = [];
       pool = Engine.Vec.of_list pool;
       scratch;
       cache;
@@ -259,39 +249,24 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
   in
   (* the pool's baseline coverage comes from compiling the seeds; a seed
      that crashes the compiler is a finding like any other (iteration 0)
-     and fresh branches feed the baseline trend sample *)
+     and the baseline coverage is the trend's first sample *)
   for i = 0 to Engine.Vec.length st.pool - 1 do
     let e = Engine.Vec.get st.pool i in
     let cov = st.scratch in
     (match fst (Simcomp.Compiler.batch_compile st.batch e.src) with
     | Simcomp.Compiler.Compiled _ | Simcomp.Compiler.Compile_error _ -> ()
     | Simcomp.Compiler.Crashed c ->
-      Fuzz_result.record_crash st.result ~iteration:0 ~input:e.src c;
-      Engine.Ctx.emit engine
-        (Engine.Event.Crash_found
-           {
-             key = Simcomp.Crash.unique_key c;
-             stage = Simcomp.Compiler.engine_stage c.Simcomp.Crash.stage;
-             iteration = 0;
-           }));
+      Fuzz_result.record_crash st.result ~iteration:0 ~input:e.src c);
     (* seeds claim their edges before the scratch map is consumed, so
        the scheduler starts from a fully-ranked baseline *)
     if cfg.schedule then sched_claim st i e cov;
     (* consume: merge and re-zero the scratch map in one pass, so the
        next compile starts from a pristine map without a full memset *)
-    let fresh =
-      Simcomp.Coverage.merge_consume ~into:st.result.Fuzz_result.coverage cov
-    in
-    if fresh > 0 then
-      Engine.Ctx.emit engine
-        (Engine.Event.Coverage_gained { iteration = 0; fresh })
+    ignore
+      (Simcomp.Coverage.merge_consume ~into:st.result.Fuzz_result.coverage
+         cov)
   done;
-  Engine.Ctx.emit engine
-    (Engine.Event.Coverage_sampled
-       {
-         iteration = 0;
-         covered = Simcomp.Coverage.covered st.result.Fuzz_result.coverage;
-       });
+  record_sample st ~iteration:0;
   st
 
 (* One iteration of Algorithm 1. *)
@@ -316,9 +291,6 @@ let step (st : state) ~iteration : unit =
           incr attempts;
           let mc = mutator_counters st m in
           Engine.Metrics.incr mc.mc_attempt;
-          Engine.Ctx.emit st.engine
-            (Engine.Event.Mutant_attempted
-               { mutator = m.Mutators.Mutator.name });
           (match Mutators.Mutator.apply_ctx m ctx with
           | None -> Engine.Metrics.incr mc.mc_inapplicable
           | Some tu' ->
@@ -351,15 +323,7 @@ let step (st : state) ~iteration : unit =
                   compilable_mutants = st.result.compilable_mutants + 1;
                 }
             | Simcomp.Compiler.Crashed c ->
-              Fuzz_result.record_crash st.result ~iteration ~input:src' c;
-              Engine.Ctx.emit st.engine
-                (Engine.Event.Crash_found
-                   {
-                     key = Simcomp.Crash.unique_key c;
-                     stage =
-                       Simcomp.Compiler.engine_stage c.Simcomp.Crash.stage;
-                     iteration;
-                   })
+              Fuzz_result.record_crash st.result ~iteration ~input:src' c
             | Simcomp.Compiler.Compile_error _ -> ());
             (* one pass: the merged fresh count IS the accept signal,
                and consuming re-zeroes the scratch for the next compile.
@@ -374,11 +338,7 @@ let step (st : state) ~iteration : unit =
                 Simcomp.Coverage.merge_consume
                   ~into:st.result.Fuzz_result.coverage cov
             in
-            if fresh > 0 then begin
-              Engine.Metrics.incr ~by:fresh mc.mc_fresh;
-              Engine.Ctx.emit st.engine
-                (Engine.Event.Coverage_gained { iteration; fresh })
-            end;
+            if fresh > 0 then Engine.Metrics.incr ~by:fresh mc.mc_fresh;
             let accepted = ref false in
             if (fresh > 0 || not st.cfg.coverage_guided) && not !found then begin
               (* P' joins the pool only when it compiles: broken mutants
@@ -413,13 +373,7 @@ let step (st : state) ~iteration : unit =
   end
 
 let sample_trend (st : state) ~iteration =
-  if iteration mod st.cfg.sample_every = 0 then
-    Engine.Ctx.emit st.engine
-      (Engine.Event.Coverage_sampled
-         {
-           iteration;
-           covered = Simcomp.Coverage.covered st.result.Fuzz_result.coverage;
-         })
+  if iteration mod st.cfg.sample_every = 0 then record_sample st ~iteration
 
 (* Everything [step] reads or writes, captured at an iteration boundary.
    The compile cache is included because cache hits skip coverage
@@ -476,7 +430,7 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
         | Some b -> Bytes.blit b 0 st.sched_top 0 (Bytes.length b)
         | None -> ());
         st.result <- sn.sn_result;
-        st.trend_rev := sn.sn_trend_rev;
+        st.trend_rev <- sn.sn_trend_rev;
         st.cache <- sn.sn_cache;
         st.faults <- sn.sn_faults;
         st.batch <-
@@ -497,7 +451,7 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
           sn_rng_state = Rng.state st.rng;
           sn_pool = Engine.Vec.to_array st.pool;
           sn_result = st.result;
-          sn_trend_rev = !(st.trend_rev);
+          sn_trend_rev = st.trend_rev;
           sn_cache = st.cache;
           sn_faults = st.faults;
           sn_sched_top = (if cfg.schedule then Some st.sched_top else None);
@@ -521,20 +475,7 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
      otherwise truncate the tail.  Guarded on the trend head so a run
      resumed from a snapshot taken at the last iteration (whose loop
      body never executes) doesn't append a duplicate sample. *)
-  (match !(st.trend_rev) with
+  (match st.trend_rev with
   | (last, _) :: _ when last = iterations -> ()
-  | _ ->
-    Engine.Ctx.emit st.engine
-      (Engine.Event.Coverage_sampled
-         {
-           iteration = iterations;
-           covered = Simcomp.Coverage.covered st.result.Fuzz_result.coverage;
-         }));
-  (* detach the trend listener so a shared engine context can host
-     subsequent runs without cross-feeding *)
-  Engine.Event.remove_sink st.engine.Engine.Ctx.bus st.trend_sink;
-  {
-    st.result with
-    iterations;
-    coverage_trend = List.rev !(st.trend_rev);
-  }
+  | _ -> record_sample st ~iteration:iterations);
+  { st.result with iterations; coverage_trend = List.rev st.trend_rev }

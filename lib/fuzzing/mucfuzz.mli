@@ -8,9 +8,9 @@
 
     Every run owns an {!Engine.Ctx}: mutator attempts/accepts/rejects are
     counted per mutator ([mucfuzz.attempt.<m>] / [.accept.<m>] /
-    [.reject.<m>] / [.inapplicable.<m>]), crashes and coverage gains are
-    emitted as events, and the coverage trend is collected by a
-    [Coverage_sampled] event sink. *)
+    [.reject.<m>] / [.inapplicable.<m>]), compile outcomes are counted
+    by the compiler, and every coverage-trend sample is kept on
+    the run's own list and handed to {!Engine.Ctx.sample}. *)
 
 type config = {
   mutators : Mutators.Mutator.t list;
@@ -64,8 +64,7 @@ type state = {
   options : Simcomp.Compiler.options;
   engine : Engine.Ctx.t;
   per_mutator : (string, mutator_counters) Hashtbl.t;
-  trend_rev : (int * int) list ref;
-  trend_sink : Engine.Event.sink;
+  mutable trend_rev : (int * int) list;  (** newest sample first *)
   mutable pool : pool_entry Engine.Vec.t;
       (** amortized-O(1) accepts (an [Array.append] pool is quadratic);
           replaced wholesale on checkpoint resume *)
@@ -106,7 +105,7 @@ val step : state -> iteration:int -> unit
 (** One iteration of Algorithm 1. *)
 
 val sample_trend : state -> iteration:int -> unit
-(** Emit a [Coverage_sampled] event every [sample_every] iterations. *)
+(** Take a coverage-trend sample every [sample_every] iterations. *)
 
 val run :
   ?options:Simcomp.Compiler.options ->
@@ -123,8 +122,8 @@ val run :
   unit ->
   Fuzz_result.t
 (** Run a whole campaign and return the accumulated statistics.  The
-    trend sink is detached on return, so a shared [engine] can host
-    subsequent runs.
+    trend is the run's own, so a shared [engine] can host subsequent
+    runs.
 
     [checkpoint:(path, every)] snapshots the complete run state (RNG,
     pool, result, compile cache, fault-harness counters) atomically to

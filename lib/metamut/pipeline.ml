@@ -157,13 +157,11 @@ let attempt_once ~cfg ?engine (llm : Llm_sim.t)
           | None -> ()
           | Some ctx ->
             (* per-goal repair outcomes as a counter family, so metrics
-               snapshots show *which* validation goals resist fixing
-               without replaying the event stream *)
+               snapshots show *which* validation goals resist fixing *)
             Engine.Ctx.incr ctx
               (Fmt.str "pipeline.goal.%s.%d"
                  (if success then "fixed" else "unfixed")
-                 goal);
-            Engine.Ctx.emit ctx (Engine.Event.Pipeline_goal (goal, success)));
+                 goal));
           bugfix := add_usage !bugfix usage;
           if success then begin
             let g = gv.Validation.gv_goal in

@@ -69,8 +69,8 @@ val run_once :
     [.recovered_after_retry]), retry counters ([pipeline.retry.*]), a
     span per attempt ([span.pipeline.attempt]), spans around invention,
     synthesis, validation, and each per-goal repair
-    ([span.pipeline.goal<N>]), and a {!Engine.Event.Pipeline_goal} event
-    per repair attempt. *)
+    ([span.pipeline.goal<N>]), and a per-goal repair outcome counter
+    ([pipeline.goal.fixed.<N>] / [.unfixed.<N>]). *)
 
 val run_many :
   ?cfg:config -> ?seed:int -> ?engine:Engine.Ctx.t -> n:int -> unit ->

@@ -521,13 +521,6 @@ let backend_stage ?cov ?engine ~(check : check) (fe : front)
 (* Entries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Crash stages and engine stages name the same pipeline boundaries. *)
-let engine_stage = function
-  | Crash.Front_end -> Engine.Event.Frontend
-  | Crash.Ir_gen -> Engine.Event.Lower
-  | Crash.Optimization -> Engine.Event.Opt
-  | Crash.Back_end -> Engine.Event.Backend
-
 (* Per-compile engine counters, resolved once per context instead of two
    string-keyed registry lookups (plus a name concatenation) per compile.
    The one-slot memo re-resolves only when the context changes. *)
@@ -546,13 +539,12 @@ let outcome_counters (ctx : Engine.Ctx.t) : outcome_counters =
   | Some (c, k) when c == ctx -> k
   | _ ->
     let c name = Engine.Metrics.counter ctx.Engine.Ctx.metrics name in
-    let outcome k = c ("compile.outcome." ^ Engine.Event.outcome_kind_to_string k) in
     let k =
       {
         oc_total = c "compile.total";
-        oc_ok = outcome Engine.Event.Compiled_ok;
-        oc_error = outcome Engine.Event.Compile_failed;
-        oc_crash = outcome Engine.Event.Crashed;
+        oc_ok = c "compile.outcome.compiled";
+        oc_error = c "compile.outcome.compile-error";
+        oc_crash = c "compile.outcome.crash";
         oc_cached = c "compile.cached";
       }
     in
@@ -563,19 +555,13 @@ let record_outcome ?(cached = false) engine (outcome : outcome) =
   match engine with
   | None -> ()
   | Some ctx ->
-    let kind, stage =
-      match outcome with
-      | Compiled _ -> (Engine.Event.Compiled_ok, Engine.Event.Backend)
-      | Compile_error _ -> (Engine.Event.Compile_failed, Engine.Event.Frontend)
-      | Crashed c -> (Engine.Event.Crashed, engine_stage c.Crash.stage)
-    in
     let k = outcome_counters ctx in
     Engine.Metrics.incr k.oc_total;
     Engine.Metrics.incr
-      (match kind with
-      | Engine.Event.Compiled_ok -> k.oc_ok
-      | Engine.Event.Compile_failed -> k.oc_error
-      | Engine.Event.Crashed -> k.oc_crash);
+      (match outcome with
+      | Compiled _ -> k.oc_ok
+      | Compile_error _ -> k.oc_error
+      | Crashed _ -> k.oc_crash);
     if cached then Engine.Metrics.incr k.oc_cached
     else begin
       (* cache hits replay a memoized outcome without compiling, so they
@@ -585,14 +571,14 @@ let record_outcome ?(cached = false) engine (outcome : outcome) =
       | Some p -> Engine.Probe.on_compile p
       | None -> ()
     end;
-    Engine.Ctx.emit ctx (Engine.Event.Compile_finished (kind, stage))
+    Engine.Ctx.compiled ctx
 
 (* The watchdog fuel barrier: a compile that would stall its worker
    (injected via the Compile_hang fault site; a real harness would kill
    the process on a wall-clock timeout) is recorded as a hang crash at
    a stable identity, instead of wedging the scheduler.  The outcome
    goes through [record_outcome] like any other crash so it lands in
-   crash bucketing (Table 4) and the event stream. *)
+   crash bucketing (Table 4) and the outcome counters. *)
 let watchdog_outcome (compiler : compiler) : outcome =
   Crashed
     {

@@ -39,9 +39,6 @@ type outcome =
 
 val outcome_is_success : outcome -> bool
 
-val engine_stage : Crash.stage -> Engine.Event.stage
-(** Crash stages and engine stages name the same pipeline boundaries. *)
-
 val compile :
   ?cov:Coverage.t -> ?engine:Engine.Ctx.t -> ?faults:Engine.Faults.t ->
   compiler -> options -> string -> outcome
@@ -49,9 +46,9 @@ val compile :
     branch coverage into it (including error-handling paths for inputs
     that fail to lex/parse/type check).  When [engine] is given, each
     stage runs under a span ([span.compile.frontend] / [.lower] / [.opt]
-    / [.backend]), outcome counters are bumped, and a
-    {!Engine.Event.Compile_finished} event carrying the outcome kind and
-    the last stage reached is emitted.  The source is lexed exactly once
+    / [.backend]), the outcome counters ([compile.total],
+    [compile.outcome.compiled] / [.compile-error] / [.crash]) are
+    bumped, and the context's {!Engine.Ctx.compiled} tick fires.  The source is lexed exactly once
     (the parser and lexical coverage share the token array).
     When [faults] is given, the watchdog fuel barrier consults its
     [Compile_hang] site before compiling: a fired fault stands in for a

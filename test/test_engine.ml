@@ -1,7 +1,7 @@
 (* Tests for the execution engine: metrics registry (histogram bucket
-   boundaries, snapshots, merge), event bus sinks (ring overflow,
-   metrics sink), spans, the shard pool's supervision contract, and the
-   campaign determinism guarantee (shards:1 ≡ shards:4). *)
+   boundaries, snapshots, merge), spans, the shard pool's supervision
+   contract, and the campaign determinism guarantee (shards:1 ≡
+   shards:4). *)
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -96,53 +96,6 @@ let metrics_tests =
           "family"
           [ ("alpha", 2); ("zeta", 7) ]
           (Engine.Metrics.counters_with_prefix reg ~prefix:"p."));
-  ]
-
-let event_tests =
-  [
-    tc "ring sink keeps the newest events on overflow" (fun () ->
-        let ring, sink = Engine.Event.ring_sink ~capacity:4 in
-        let bus = Engine.Event.bus () in
-        Engine.Event.add_sink bus sink;
-        for i = 1 to 10 do
-          Engine.Event.emit bus (Engine.Event.Custom (string_of_int i))
-        done;
-        check Alcotest.int "seen" 10 (Engine.Event.ring_seen ring);
-        check Alcotest.int "dropped" 6 (Engine.Event.ring_dropped ring);
-        check
-          Alcotest.(list string)
-          "newest retained, oldest first"
-          [ "7"; "8"; "9"; "10" ]
-          (List.map
-             (function Engine.Event.Custom s -> s | _ -> "?")
-             (Engine.Event.ring_contents ring)));
-    tc "ring below capacity drops nothing" (fun () ->
-        let ring, sink = Engine.Event.ring_sink ~capacity:8 in
-        sink.Engine.Event.emit (Engine.Event.Custom "x");
-        check Alcotest.int "dropped" 0 (Engine.Event.ring_dropped ring);
-        check Alcotest.int "kept" 1
-          (List.length (Engine.Event.ring_contents ring)));
-    tc "text sink renders one line per event" (fun () ->
-        let lines = ref [] in
-        let bus = Engine.Event.bus () in
-        Engine.Event.add_sink bus
-          (Engine.Event.text_sink ~out:(fun l -> lines := l :: !lines));
-        Engine.Event.emit bus
-          (Engine.Event.Coverage_sampled { iteration = 25; covered = 600 });
-        Engine.Event.emit bus (Engine.Event.Pipeline_goal (2, false));
-        check
-          Alcotest.(list string)
-          "lines"
-          [ "coverage-sampled 600 @25"; "pipeline-goal #2 unfixed" ]
-          (List.rev !lines));
-    tc "remove_sink detaches exactly that sink" (fun () ->
-        let ring, sink = Engine.Event.ring_sink ~capacity:4 in
-        let bus = Engine.Event.bus () in
-        Engine.Event.add_sink bus sink;
-        Engine.Event.emit bus (Engine.Event.Custom "a");
-        Engine.Event.remove_sink bus sink;
-        Engine.Event.emit bus (Engine.Event.Custom "b");
-        check Alcotest.int "only first seen" 1 (Engine.Event.ring_seen ring));
   ]
 
 let span_tests =
@@ -707,6 +660,33 @@ let determinism_tests =
         check Alcotest.string "identical report"
           (Fuzzing.Coordinator.report a)
           (Fuzzing.Coordinator.report b));
+    tc "an inline lease heartbeats at least once per 200 compiles"
+      (fun () ->
+        (* the coordinator folds every heartbeat into [status], which
+           renders each one (zero interval, frozen clock) *)
+        let engine = Engine.Ctx.create ~clock:(fun () -> 0L) () in
+        let beats = ref 0 in
+        let status =
+          Engine.Status.attach
+            ~out:(fun _ -> incr beats)
+            ~interval_ns:0L ~label:"t" engine
+        in
+        let cfg =
+          { small_campaign with iterations = 250; max_attempts = 8 }
+        in
+        Engine.Status.set_tty_owner true;
+        ignore
+          (Fuzzing.Coordinator.run ~cfg
+             ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ]
+             ~compilers:[ Simcomp.Compiler.Gcc ] ~engine ~status ~shards:1 ());
+        let compiles = Engine.Ctx.counter_value engine "compile.total" in
+        check Alcotest.bool
+          (Fmt.str "ran >= 400 compiles (%d)" compiles)
+          true (compiles >= 400);
+        check Alcotest.bool
+          (Fmt.str "%d heartbeats for %d compiles" !beats compiles)
+          true
+          (!beats >= compiles / 200));
   ]
 
 let mucfuzz_engine_tests =
@@ -767,7 +747,7 @@ let mucfuzz_engine_tests =
           attempts
           (sum "mucfuzz.accept." + sum "mucfuzz.reject."
           + sum "mucfuzz.inapplicable.");
-        (* compile events were emitted for every produced mutant + seed *)
+        (* a compile was recorded for every produced mutant + seed *)
         let compiles =
           Engine.Metrics.counter_value
             (Engine.Metrics.counter reg "compile.total")
@@ -780,7 +760,6 @@ let () =
   Alcotest.run "engine"
     [
       ("metrics", metrics_tests);
-      ("events", event_tests);
       ("spans", span_tests);
       ("vec", vec_tests);
       ("faults", faults_tests);

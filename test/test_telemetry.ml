@@ -276,16 +276,18 @@ let status_tests =
             ~out:(Buffer.add_string out)
             ~interval_ns:0L ~label:"t" ctx
         in
-        for _ = 1 to 5 do
-          Engine.Ctx.emit ctx
-            (Engine.Event.Compile_finished
-               (Engine.Event.Compiled_ok, Engine.Event.Backend))
+        (* what the compiler does per compile: bump the outcome
+           counters, then tick *)
+        let compile ?(crash = false) () =
+          Engine.Ctx.incr ctx "compile.total";
+          if crash then Engine.Ctx.incr ctx "compile.outcome.crash";
+          Engine.Ctx.compiled ctx
+        in
+        for _ = 1 to 4 do
+          compile ()
         done;
-        Engine.Ctx.emit ctx
-          (Engine.Event.Crash_found
-             { key = "k"; stage = Engine.Event.Opt; iteration = 3 });
-        Engine.Ctx.emit ctx
-          (Engine.Event.Coverage_sampled { iteration = 10; covered = 100 });
+        compile ~crash:true ();
+        Engine.Ctx.sample ctx ~iteration:10 ~covered:100;
         let line = Engine.Status.line st in
         check Alcotest.bool "execs" true
           (is_infix ~affix:"5 execs" line);
@@ -297,22 +299,19 @@ let status_tests =
           (is_infix ~affix:"plateau" line);
         (* four flat samples in a row *)
         for i = 11 to 14 do
-          Engine.Ctx.emit ctx
-            (Engine.Event.Coverage_sampled { iteration = i; covered = 100 })
+          Engine.Ctx.sample ctx ~iteration:i ~covered:100
         done;
         check Alcotest.bool "plateau flagged" true
           (is_infix ~affix:"plateau x4" (Engine.Status.line st));
         (* fresh coverage resets the streak *)
-        Engine.Ctx.emit ctx
-          (Engine.Event.Coverage_sampled { iteration = 15; covered = 101 });
+        Engine.Ctx.sample ctx ~iteration:15 ~covered:101;
         check Alcotest.bool "plateau cleared" false
           (is_infix ~affix:"plateau" (Engine.Status.line st));
         Engine.Status.finish st;
-        (* detached: further events no longer count *)
+        (* detached: further ticks no longer render *)
         let n = Buffer.length out in
-        Engine.Ctx.emit ctx
-          (Engine.Event.Compile_finished
-             (Engine.Event.Compiled_ok, Engine.Event.Backend));
+        compile ();
+        Engine.Ctx.sample ctx ~iteration:16 ~covered:102;
         check Alcotest.int "no output after finish" n (Buffer.length out));
   ]
 
@@ -378,8 +377,7 @@ let telemetry_tests =
         let ctx = Engine.Ctx.create ~clock:(fake_clock ()) () in
         let t = Engine.Telemetry.attach ~flush_every:1 ~dir ctx in
         ignore (Engine.Span.with_ ctx ~name:"x" (fun () -> ()));
-        Engine.Ctx.emit ctx
-          (Engine.Event.Coverage_sampled { iteration = 1; covered = 5 });
+        Engine.Ctx.sample ctx ~iteration:1 ~covered:5;
         Engine.Telemetry.finalize ~report:"# hi\n" t;
         let read f =
           let ic = open_in_bin (Filename.concat dir f) in
@@ -399,16 +397,62 @@ let telemetry_tests =
              (read Engine.Telemetry.json_file));
         check Alcotest.string "report written" "# hi\n"
           (read Engine.Telemetry.report_file);
-        (* the periodic sink is gone after finalize: further samples no
+        (* the observer is gone after finalize: further samples no
            longer bump the flush counter *)
         let flushes () =
           Engine.Metrics.counter_value
             (Engine.Metrics.counter ctx.Engine.Ctx.metrics "telemetry.flushes")
         in
         let before = flushes () in
-        Engine.Ctx.emit ctx
-          (Engine.Event.Coverage_sampled { iteration = 2; covered = 6 });
-        check Alcotest.int "sink detached" before (flushes ()));
+        Engine.Ctx.sample ctx ~iteration:2 ~covered:6;
+        check Alcotest.int "observer detached" before (flushes ()));
+    tc "status and telemetry observers leave a mucfuzz run unchanged"
+      (fun () ->
+        let cfg =
+          {
+            (Fuzzing.Mucfuzz.default_config ()) with
+            Fuzzing.Mucfuzz.max_attempts_per_iteration = 4;
+            sample_every = 5;
+          }
+        in
+        let run engine =
+          Fuzzing.Mucfuzz.run ~cfg ~engine ~rng:(Cparse.Rng.create 11)
+            ~compiler:Simcomp.Compiler.Gcc
+            ~seeds:(Fuzzing.Seeds.corpus ~n:8 (Cparse.Rng.create 3))
+            ~iterations:22 ~name:"t" ()
+        in
+        let bare = run (Engine.Ctx.create ()) in
+        let ctx = Engine.Ctx.create ~clock:(fake_clock ()) () in
+        let st =
+          Engine.Status.attach ~out:ignore ~interval_ns:0L ~label:"t" ctx
+        in
+        let tel =
+          Engine.Telemetry.attach ~flush_every:1
+            ~dir:(temp_dir "metamut-tel-observed") ctx
+        in
+        let watched = run ctx in
+        Engine.Status.finish st;
+        Engine.Telemetry.finalize tel;
+        check Alcotest.bool "Fuzz_result.equal" true
+          (Fuzzing.Fuzz_result.equal bare watched);
+        let trend = watched.Fuzzing.Fuzz_result.coverage_trend in
+        check
+          Alcotest.(list (pair int int))
+          "identical trend" bare.Fuzzing.Fuzz_result.coverage_trend trend;
+        check
+          Alcotest.(list int)
+          "seed baseline, cadence, tail" [ 0; 5; 10; 15; 20; 22 ]
+          (List.map fst trend);
+        (* the observers really watched: the line counted every compile,
+           and every sample flushed once (plus the final flush) *)
+        check Alcotest.bool "status saw the compiles" true
+          (is_infix
+             ~affix:
+               (Fmt.str "%d execs" (Engine.Ctx.counter_value ctx "compile.total"))
+             (Engine.Status.line st));
+        check Alcotest.int "one flush per sample, plus finalize"
+          (List.length trend + 1)
+          (Engine.Ctx.counter_value ctx "telemetry.flushes"));
     tc "merged telemetry is identical at jobs:1 and jobs:4" (fun () ->
         (* the shard count follows [jobs], which must stay inert: neither
            the registry nor campaign-report.md may depend on it *)
@@ -693,10 +737,9 @@ let fold_tests =
         let st =
           Engine.Status.attach ~out:ignore ~interval_ns:0L ~label:"t" ctx
         in
-        (* plateau builds on the event path ... *)
+        (* plateau builds on the tick path ... *)
         for i = 1 to 4 do
-          Engine.Ctx.emit ctx
-            (Engine.Event.Coverage_sampled { iteration = i; covered = 50 })
+          Engine.Ctx.sample ctx ~iteration:i ~covered:50
         done;
         check Alcotest.bool "plateau on" true
           (is_infix ~affix:"plateau" (Engine.Status.line st));
