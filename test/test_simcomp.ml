@@ -1188,6 +1188,221 @@ let mutant_differential =
              | _ -> true
            end))
 
+(* IR interpreter outcomes, pinned.  The corpus programs and stacked
+   core-mutator mutants of them, compiled at -O0..3, reach recursion,
+   pointers, hangs, traps and unsupported features; the full [run]
+   outcome of each is digested, so any change in what the interpreter
+   computes shows here.  The hand-built programs below pin the tick
+   accounting and the frame limit exactly. *)
+let ir_outcome_digest () =
+  let rng = Rng.create 11 in
+  let seeds =
+    List.filter_map
+      (fun src -> Result.to_option (Parser.parse src))
+      (Fuzzing.Seeds.corpus ~n:30 rng)
+  in
+  let mutant tu =
+    let m = ref tu in
+    for _ = 1 to 1 + Rng.int rng 4 do
+      match
+        Mutators.Mutator.apply (Rng.choose rng Mutators.Registry.core) ~rng !m
+      with
+      | Some tu' -> m := tu'
+      | None -> ()
+    done;
+    !m
+  in
+  (* neither the corpus nor its mutants trap: one program per trap path *)
+  let traps =
+    List.map parse
+      [
+        "int main(void) { int z = 0; return 4 % z; }";
+        "int a[4]; int main(void) { int i = 7; return a[i]; }";
+        "int a[4]; int main(void) { int i = -1; a[i] = 3; return 0; }";
+        "int main(void) { int *p = 0; return *p; }";
+        "int main(void) { int *p = 0; *p = 1; return 0; }";
+        "void abort(void); int main(void) { abort(); return 1; }";
+        "int main(void) { int x = 5; int *p = &x; p = p + 3; return *p; }";
+      ]
+  in
+  let programs =
+    seeds @ traps @ List.concat_map (fun tu -> List.init 4 (fun _ -> mutant tu)) seeds
+  in
+  let buf = Buffer.create 4096 in
+  let hangs = ref 0 and traps = ref 0 and unsupported = ref 0 and runs = ref 0 in
+  List.iter
+    (fun tu ->
+      let src = Pretty.tu_to_string tu in
+      for opt_level = 0 to 3 do
+        match
+          Simcomp.Compiler.compile_ir Simcomp.Compiler.Gcc
+            { Simcomp.Compiler.default_options with opt_level }
+            src
+        with
+        | Error _ -> Buffer.add_string buf "error\n"
+        | Ok p ->
+          let o = Simcomp.Ir_interp.run ~fuel:50_000 p in
+          incr runs;
+          if o.o_hang then incr hangs;
+          if o.o_trapped then incr traps;
+          if Option.is_some o.o_unsupported then incr unsupported;
+          Buffer.add_string buf
+            (Fmt.str "%d %b %b %s\n" o.o_exit o.o_trapped o.o_hang
+               (Option.value ~default:"-" o.o_unsupported))
+      done)
+    programs;
+  ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+    (!runs, !hangs, !traps, !unsupported) )
+
+(* A loop that needs exactly 30 ticks: one per call, one per block
+   entered, one per instruction.  main (1) + L0 (1 block + 1 instr) +
+   L1 entered 4 times (2 each) + L2 entered 3 times (2 each, plus the
+   call: 1 + 1 block + 2 instrs) + L3 (1). *)
+let tick_program =
+  let open Simcomp.Ir in
+  let step =
+    {
+      fn_name = "step";
+      fn_params = [ "x" ];
+      fn_ret_void = false;
+      fn_blocks =
+        [
+          {
+            b_label = 0;
+            b_instrs = [ Iload (1, Avar "x"); Ibin (Add, 2, Reg 1, Imm 1L) ];
+            b_term = Tret (Some (Reg 2));
+          };
+        ];
+      fn_nregs = 2;
+    }
+  in
+  let main =
+    {
+      fn_name = "main";
+      fn_params = [];
+      fn_ret_void = false;
+      fn_blocks =
+        [
+          { b_label = 0; b_instrs = [ Imov (1, Imm 0L) ]; b_term = Tjmp 1 };
+          {
+            b_label = 1;
+            b_instrs = [ Ibin (Lt, 2, Reg 1, Imm 3L) ];
+            b_term = Tbr (Reg 2, 2, 3);
+          };
+          {
+            b_label = 2;
+            b_instrs = [ Icall (Some 1, "step", [ Reg 1 ]) ];
+            b_term = Tjmp 1;
+          };
+          { b_label = 3; b_instrs = []; b_term = Tret (Some (Reg 1)) };
+        ];
+      fn_nregs = 2;
+    }
+  in
+  { p_funcs = [ main; step ]; p_globals = [] }
+
+(* [down(n)] recurses to depth n + 1 below main; the slot [n] is one cell
+   for the whole run, so the reload after the call sees the deepest
+   frame's 0, not this frame's argument. *)
+let recursive_program =
+  lower
+    "int depth;
+     int down(int n) { if (n == 0) return 0; down(n - 1); return n; }
+     int main(void) { return down(depth); }"
+
+let with_depth p d =
+  {
+    p with
+    Simcomp.Ir.p_globals =
+      List.map
+        (fun (g : Simcomp.Ir.global_slot) ->
+          if g.g_name = "depth" then { g with g_init = Some (Int64.of_int d) }
+          else g)
+        p.Simcomp.Ir.p_globals;
+  }
+
+(* Duplicate labels and function names resolve to the first; [L9] is
+   carried by no block, which only matters once a jump takes it. *)
+let resolution_program ~take_missing =
+  let open Simcomp.Ir in
+  let ret v = { b_label = 0; b_instrs = []; b_term = Tret (Some (Imm v)) } in
+  let f v =
+    { fn_name = "f"; fn_params = []; fn_ret_void = false; fn_blocks = [ ret v ]; fn_nregs = 0 }
+  in
+  let main =
+    {
+      fn_name = "main";
+      fn_params = [];
+      fn_ret_void = false;
+      fn_blocks =
+        [
+          {
+            b_label = 0;
+            b_instrs = [];
+            b_term = Tbr (Imm (if take_missing then 0L else 1L), 5, 9);
+          };
+          { b_label = 5; b_instrs = [ Icall (Some 1, "f", []) ]; b_term = Tret (Some (Reg 1)) };
+          { (ret 99L) with b_label = 5 };
+        ];
+      fn_nregs = 1;
+    }
+  in
+  { p_funcs = [ main; f 1L; f 2L ]; p_globals = [] }
+
+let ir_interp_golden_tests =
+  let outcome =
+    Alcotest.testable
+      (fun ppf (o : Simcomp.Ir_interp.outcome) ->
+        Fmt.pf ppf "exit %d trapped %b hang %b unsupported %s" o.o_exit
+          o.o_trapped o.o_hang
+          (Option.value ~default:"-" o.o_unsupported))
+      ( = )
+  in
+  let ended exit =
+    { Simcomp.Ir_interp.o_exit = exit; o_trapped = false; o_hang = false; o_unsupported = None }
+  in
+  let hung = { (ended 124) with o_hang = true } in
+  [
+    tc "ir interpreter outcomes are pinned over the corpus and its mutants"
+      (fun () ->
+        let digest, ((_, hangs, traps, unsupported) as counts) =
+          ir_outcome_digest ()
+        in
+        check Alcotest.bool "hangs occur" true (hangs > 0);
+        check Alcotest.bool "traps occur" true (traps > 0);
+        check Alcotest.bool "unsupported occurs" true (unsupported > 0);
+        check
+          Alcotest.(pair int (pair int (pair int int)))
+          "runs, hangs, traps, unsupported" (616, (122, (28, 96)))
+          (let r, h, t, u = counts in
+           (r, (h, (t, u))));
+        check Alcotest.string "outcome digest" "803fddf80029501a8384cf31f67078d8"
+          digest);
+    tc "ir interpreter ticks fuel per call, block and instruction" (fun () ->
+        check outcome "30 ticks need fuel 31" (ended 3)
+          (Simcomp.Ir_interp.run ~fuel:31 tick_program);
+        check outcome "fuel 30 hangs" hung
+          (Simcomp.Ir_interp.run ~fuel:30 tick_program));
+    tc "ir interpreter takes the first duplicate and fails a missing block when entered"
+      (fun () ->
+        check outcome "first L5, first f" (ended 1)
+          (Simcomp.Ir_interp.run (resolution_program ~take_missing:false));
+        (* main's call, its entry block, then the tick for L9 *)
+        let missing = resolution_program ~take_missing:true in
+        check outcome "the missing block's tick comes first" hung
+          (Simcomp.Ir_interp.run ~fuel:3 missing);
+        check outcome "then the jump fails"
+          { (ended 0) with o_unsupported = Some "missing block L9" }
+          (Simcomp.Ir_interp.run ~fuel:4 missing));
+    tc "ir interpreter allows 100 frames and shares a slot across them"
+      (fun () ->
+        (* main plus down(98)..down(0) is 100 frames *)
+        check outcome "100 frames" (ended 0)
+          (Simcomp.Ir_interp.run (with_depth recursive_program 98));
+        check outcome "101 frames" hung
+          (Simcomp.Ir_interp.run (with_depth recursive_program 99)));
+  ]
+
 (* The pipeline's output, pinned: every compile entry (compile_tu,
    compile_ir, compile_passes ~verify with full dumps) over a fixed corpus
    of seeds, mutants and corrupted mutants, at both compilers and -O0..3,
@@ -1697,4 +1912,5 @@ let () =
       ("backend", backend_tests);
       ("bugs-and-pipeline", bug_tests @ pipeline_props);
       ("differential", differential_tests @ [ mutant_differential ]);
+      ("ir-interp-golden", ir_interp_golden_tests);
     ]
