@@ -601,21 +601,39 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
       w.w_alive <- false;
       ignore (reap w)
     in
+    (* Whether a reaped worker died of OOM, whichever path found it
+       dead: the OOM status says so, and a worker we SIGKILLed before it
+       could exit (the hang scan can race its OOM exit under load) is
+       judged by its lease's own Worker_oom draw, the draw [run_inline]
+       makes for that (lease, attempt). *)
+    let oom_death w status =
+      match (status, w.w_lease, faults) with
+      | Some (Unix.WEXITED 137), _, _ -> true
+      | Some (Unix.WSIGNALED s), Some (seq, attempt), Some r
+        when s = Sys.sigkill ->
+        Faults.fire (lease_faults r ~seq ~attempt) Faults.Worker_oom
+      | _ -> false
+    in
     let kill_worker ?(category = "worker-death") w =
       if w.w_alive then begin
         w.w_alive <- false;
         (try Unix.kill w.w_pid Sys.sigkill with _ -> ());
         let status = reap w in
-        (* a worker that was already dead with the OOM status was killed
-           by its resource governor, not by us *)
-        let category =
-          match (category, status) with
-          | "worker-death", Some (Unix.WEXITED 137) ->
-            stats.st_oom <- stats.st_oom + 1;
-            bump "shard.oom_killed";
-            "worker-oom"
-          | _ -> category
-        in
+        let category = if oom_death w status then "worker-oom" else category in
+        (match category with
+        | "worker-oom" ->
+          stats.st_oom <- stats.st_oom + 1;
+          bump "shard.oom_killed"
+        | "stalled" ->
+          stats.st_hung <- stats.st_hung + 1;
+          bump "shard.hung"
+        | "deadline" ->
+          stats.st_deadline <- stats.st_deadline + 1;
+          bump "shard.deadline_killed"
+        | "garbled-frame" ->
+          stats.st_garbled <- stats.st_garbled + 1;
+          bump "shard.garbled"
+        | _ -> ());
         stats.st_died <- stats.st_died + 1;
         bump "shard.worker_died";
         match w.w_lease with
@@ -682,15 +700,9 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
         Option.iter
           (fun g -> g ~shard:w.w_shard ~execs ~covered ~crashes)
           on_heartbeat
-      | Ok (Plain (Lease _)) | Ok (Plain Shutdown) ->
-        stats.st_garbled <- stats.st_garbled + 1;
-        bump "shard.garbled";
+      | Ok (Plain (Lease _)) | Ok (Plain Shutdown) | Error (Garbled _) ->
         kill_worker w ~category:"garbled-frame"
       | Error Closed -> kill_worker w
-      | Error (Garbled _) ->
-        stats.st_garbled <- stats.st_garbled + 1;
-        bump "shard.garbled";
-        kill_worker w ~category:"garbled-frame"
       | Error Timeout -> () (* partial frame in flight; hang scan decides *)
     in
     let spawn_budget = ref (shards * limits.max_attempts) in
@@ -786,17 +798,10 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
             List.iter
               (fun w ->
                 if w.w_alive && w.w_lease <> None then begin
-                  if now -. w.w_last_active > limits.hang_timeout_s then begin
-                    stats.st_hung <- stats.st_hung + 1;
-                    bump "shard.hung";
+                  if now -. w.w_last_active > limits.hang_timeout_s then
                     kill_worker w ~category:"stalled"
-                  end
-                  else if now -. w.w_granted > limits.lease_deadline_s
-                  then begin
-                    stats.st_deadline <- stats.st_deadline + 1;
-                    bump "shard.deadline_killed";
+                  else if now -. w.w_granted > limits.lease_deadline_s then
                     kill_worker w ~category:"deadline"
-                  end
                 end)
               (alive ());
             if not (Queue.is_empty queue) then maybe_spawn ()
