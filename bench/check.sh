@@ -29,7 +29,7 @@ if [ -x "$CLI" ]; then
   done
 fi
 
-echo "== smoke: the removed --jobs and --trace flags are refused =="
+echo "== smoke: the removed --jobs and --trace flags and worker subcommand are refused =="
 if [ -x "$CLI" ]; then
   if "$CLI" campaign --iterations 5 --jobs 2 > /dev/null 2>&1; then
     echo "FAIL: campaign --jobs 2 was accepted" >&2
@@ -41,6 +41,12 @@ if [ -x "$CLI" ]; then
     exit 1
   fi
   echo "fuzz --trace exits non-zero"
+  # workers are forked by the pool; there is no exec'd worker entry point
+  if "$CLI" worker < /dev/null > /dev/null 2>&1; then
+    echo "FAIL: metamut_cli worker was accepted" >&2
+    exit 1
+  fi
+  echo "metamut_cli worker exits non-zero"
 fi
 
 echo "== smoke: bad input fails with a diagnostic =="
@@ -90,6 +96,18 @@ if [ -x "$CLI" ]; then
     "$CLI" campaign --iterations 5 --opt-matrix=-1
   bad_input "campaign --shards=-2" "--shards" \
     "$CLI" campaign --iterations 5 --shards=-2
+  # shard limits: a hang timeout that is not > 0 would leave the pool
+  # spinning, and a zero deadline or budget would kill every lease
+  bad_input "campaign --hang-timeout 0" "--hang-timeout" \
+    "$CLI" campaign --iterations 5 --hang-timeout 0
+  bad_input "campaign --hang-timeout=-1" "--hang-timeout" \
+    "$CLI" campaign --iterations 5 --hang-timeout=-1
+  bad_input "campaign --hang-timeout nan" "--hang-timeout" \
+    "$CLI" campaign --iterations 5 --hang-timeout nan
+  bad_input "campaign --lease-deadline=0" "--lease-deadline" \
+    "$CLI" campaign --iterations 5 --lease-deadline=0
+  bad_input "campaign --alloc-budget=0" "--alloc-budget" \
+    "$CLI" campaign --iterations 5 --alloc-budget=0
   rm -rf "$BAD"
 fi
 

@@ -191,8 +191,7 @@ let campaign =
      (* one forked worker per core; results are shard-count-invariant *)
      Fuzzing.Coordinator.to_campaign
        (Fuzzing.Coordinator.run ~cfg
-          ~shards:(Domain.recommended_domain_count ())
-          ~backend:Engine.Shard.Fork ()))
+          ~shards:(Domain.recommended_domain_count ()) ()))
 
 let fuzzer_label = Fuzzing.Campaign.fuzzer_name
 

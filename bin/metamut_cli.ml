@@ -377,6 +377,16 @@ let int_in ~min ?(max = max_int) () =
 
 let opt_level_conv = int_in ~min:0 ~max:3 ()
 
+(* above zero, possibly infinite: NaN, zero and negatives are refused *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0. -> Ok x
+    | Some _ -> Error (`Msg "must be > 0")
+    | None -> Error (`Msg (Fmt.str "expected a number, got %S" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 (* Shared pass-pipeline flags: -O, --fno PASS (repeatable), --passes. *)
 let options_term =
   let opt =
@@ -871,32 +881,15 @@ let campaign iterations sample_every schedule faults checkpoint resume
         (fun ~completed ~total name ->
           Fmt.epr "\r\027[K[%d/%d] %s done%!" completed total name)
   in
-  (* deal cells (x -O levels) to worker subprocesses spawned as
-     `metamut worker`, socket end as the child's stdin; one shard runs
-     every lease inline *)
+  (* deal cells (x -O levels) to forked worker processes; one shard
+     runs every lease inline *)
   let shards =
     if shards > 0 then shards else Domain.recommended_domain_count ()
   in
-  let exe = Sys.executable_name in
-  (* Spawn workers can't inherit the harness or the governor through
-     fork: they rebuild both from the environment *)
-  Option.iter Engine.Faults.export_to_env faults;
-  Option.iter
-    (fun (l : Engine.Shard.limits) ->
-      if l.alloc_budget_words < infinity then
-        Unix.putenv "METAMUT_SHARD_ALLOC_BUDGET"
-          (Fmt.str "%.0f" l.alloc_budget_words))
-    limits;
-  let backend =
-    Engine.Shard.Spawn
-      (fun fd ->
-        Unix.create_process exe [| exe; "worker" |] fd Unix.stdout
-          Unix.stderr)
-  in
   let t =
     Fuzzing.Coordinator.run ~cfg ~opt_levels:opt_matrix ?engine ?faults
-      ?checkpoint ~resume ~shards ~backend ?limits
-      ?status:st ?progress ?serve:srv ?flight_dir:telemetry ()
+      ?checkpoint ~resume ~shards ?limits ?status:st ?progress ?serve:srv
+      ?flight_dir:telemetry ()
   in
   Option.iter Engine.Status.finish st;
   if status then Fmt.epr "\r\027[K%!";
@@ -1039,12 +1032,11 @@ let campaign_cmd =
       & opt (int_in ~min:0 ()) 0
       & info [ "shards" ]
           ~doc:
-            "Deal campaign cells to $(docv) worker $(i,processes) \
-             (spawned $(b,metamut worker), length-prefixed frames over a \
-             Unix socketpair).  0 = one worker per core; 1 = run every \
-             cell inline in this process.  Results are byte-identical at \
-             any shard count, and a dead or hung worker's lease is \
-             requeued."
+            "Deal campaign cells to $(docv) forked worker $(i,processes) \
+             (length-prefixed frames over a Unix socketpair).  0 = one \
+             worker per core; 1 = run every cell inline in this process.  \
+             Results are byte-identical at any shard count, and a dead \
+             or hung worker's lease is requeued."
           ~docv:"K")
   in
   let opt_matrix =
@@ -1060,7 +1052,7 @@ let campaign_cmd =
   let hang_timeout =
     Arg.(
       value
-      & opt float Engine.Shard.default_limits.hang_timeout_s
+      & opt positive_float Engine.Shard.default_limits.hang_timeout_s
       & info [ "hang-timeout" ] ~docv:"SEC"
           ~doc:
             "Kill a sharded worker silent for $(docv) seconds and requeue \
@@ -1069,7 +1061,7 @@ let campaign_cmd =
   let lease_deadline =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_in ~min:1 ())) None
       & info [ "lease-deadline" ] ~docv:"SEC"
           ~doc:
             "Per-lease wall-clock budget: a sharded worker holding one \
@@ -1080,7 +1072,7 @@ let campaign_cmd =
   let alloc_budget =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_in ~min:1 ())) None
       & info [ "alloc-budget" ] ~docv:"MWORDS"
           ~doc:
             "Per-lease allocation budget in millions of words: a worker \
@@ -1096,19 +1088,6 @@ let campaign_cmd =
       $ status_flag $ shards $ opt_matrix $ hang_timeout $ lease_deadline
       $ alloc_budget $ serve_flag $ log_flag)
 
-(* ------------------------------------------------------------------ *)
-(* worker (internal)                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let worker_cmd =
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "(internal) Sharded-campaign worker: serve lease frames on stdin \
-          until Shutdown.  Spawned by $(b,campaign --shards); not meant \
-          for interactive use.")
-    Term.(const Fuzzing.Coordinator.worker_main $ const ())
-
 let () =
   Engine.Runtime.tune ();
   let info =
@@ -1120,5 +1099,5 @@ let () =
        (Cmd.group info
           [
             list_cmd; mutate_cmd; compile_cmd; passes_cmd; bisect_cmd;
-            fuzz_cmd; generate_cmd; campaign_cmd; worker_cmd;
+            fuzz_cmd; generate_cmd; campaign_cmd;
           ]))

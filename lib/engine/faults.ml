@@ -108,7 +108,6 @@ let create ?(seed = 0) config =
   { config; seed = Int64.of_int seed; counts = Array.make site_count 0 }
 
 let config_of (t : t) = t.config
-let seed_of (t : t) = Int64.to_int t.seed
 
 (* splitmix64 finalizer: full avalanche over the 64-bit input. *)
 let mix64 (z : int64) : int64 =
@@ -243,13 +242,3 @@ let seed_from_env () : int =
     match int_of_string_opt (String.trim s) with
     | Some n -> n
     | None -> invalid_arg (Fmt.str "METAMUT_FAULT_SEED: %S is not an integer" s))
-
-let from_env () : t option =
-  Option.map (fun c -> create ~seed:(seed_from_env ()) c) (config_from_env ())
-
-(* The CLI arms worker subprocesses (the Spawn backend execs a fresh
-   binary) by exporting the harness back into the same variables the
-   workers read with [from_env]. *)
-let export_to_env (t : t) =
-  Unix.putenv "METAMUT_FAULTS" (spec_to_string t.config);
-  Unix.putenv "METAMUT_FAULT_SEED" (string_of_int (seed_of t))

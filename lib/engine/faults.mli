@@ -47,7 +47,6 @@ type t
 
 val create : ?seed:int -> config -> t
 val config_of : t -> config
-val seed_of : t -> int
 
 val derive : t -> tag:int -> t
 (** Child harness with the same config and a seed mixed from [tag].
@@ -79,10 +78,3 @@ val config_from_env : unit -> config option
 val seed_from_env : unit -> int
 (** [METAMUT_FAULT_SEED] (unset/empty → 0; not an integer → raises
     [Invalid_argument], like {!config_from_env}). *)
-
-val from_env : unit -> t option
-(** Harness from both variables, when [METAMUT_FAULTS] is set. *)
-
-val export_to_env : t -> unit
-(** Write the harness back into [METAMUT_FAULTS]/[METAMUT_FAULT_SEED] so
-    spawned worker processes rebuild the same root via {!from_env}. *)

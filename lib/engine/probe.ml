@@ -67,7 +67,3 @@ let on_compile (t : t) =
   if t.p_compiles >= t.p_batch then sample t
 
 let minor_words_mean (t : t) = Metrics.histogram_mean t.h_minor_per_compile
-let minor_words_p50 (t : t) = Metrics.histogram_quantile t.h_minor_per_compile 0.5
-let minor_words_p95 (t : t) = Metrics.histogram_quantile t.h_minor_per_compile 0.95
-let promoted_words (t : t) = Metrics.gauge_value t.g_promoted
-let major_collections (t : t) = Metrics.gauge_value t.g_major

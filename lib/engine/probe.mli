@@ -28,12 +28,4 @@ val sample : t -> unit
     run end so the tail batch is not lost). *)
 
 val minor_words_mean : t -> float
-
-val minor_words_p50 : t -> float
-val minor_words_p95 : t -> float
-(** Quantile estimates over the per-batch minor-words histogram
-    ({!Metrics.histogram_quantile}): the distribution's centre and tail,
-    which a mean alone hides (one pathological mutant can dominate). *)
-
-val promoted_words : t -> float
-val major_collections : t -> float
+(** Mean minor words per compile over the samples taken so far. *)

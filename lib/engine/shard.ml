@@ -292,7 +292,11 @@ let allocated_words () =
 let in_worker_flag = ref false
 let in_worker () = !in_worker_flag
 
-let worker_loop ?faults ?(alloc_budget_words = infinity) (c : conn) ~f =
+(* A forked worker's protocol: request, execute, reply, repeat until
+   Shutdown or a dead coordinator socket.  [faults] is the coordinator's
+   root harness; the worker derives each (lease, attempt) stream from
+   it, as [run_inline] does. *)
+let worker_loop ?faults ~alloc_budget_words (c : conn) ~f =
   in_worker_flag := true;
   (* K workers share the coordinator's stderr: none of them may draw *)
   Status.set_tty_owner false;
@@ -357,8 +361,6 @@ let worker_loop ?faults ?(alloc_budget_words = infinity) (c : conn) ~f =
 (* Coordinator side                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type backend = Fork | Spawn of (Unix.file_descr -> int)
-
 (* Supervision notifications, for the structured log and the flight
    recorder.  Emitted identically by the pooled and inline paths (same
    call sites, same fault streams), so a consumer that renders them per
@@ -396,9 +398,16 @@ type worker = {
   mutable w_alive : bool;
 }
 
-let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
-    ?ctx ?on_heartbeat ?on_result ?on_event ?on_tick ?journal ~f
-    (leases : string array) : verdict array * stats =
+let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
+    ?on_result ?on_event ?on_tick ?journal ~f (leases : string array) :
+    verdict array * stats =
+  (* a timeout that is not > 0 leaves no read window: at 0 or below
+     every read's deadline has passed before it starts, so no Request is
+     consumed and the pool spins forever; NaN makes select fail *)
+  if not (limits.hang_timeout_s > 0.) then
+    invalid_arg
+      (Printf.sprintf "Shard.run_pool: hang_timeout_s must be > 0, got %g"
+         limits.hang_timeout_s);
   let n = Array.length leases in
   let results : verdict option array = Array.make n None in
   let attempts = Array.make n 0 in
@@ -547,32 +556,24 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
     let alive () = List.filter (fun w -> w.w_alive) !workers in
     let parent_fds () = List.map (fun w -> w.w_conn.c_fd) (alive ()) in
     let spawn shard =
-      (* close-on-exec: a Spawn worker must not inherit its siblings'
-         coordinator ends, or after a coordinator death the workers
-         hold each other's sockets open and never see EOF *)
-      let a, b =
-        Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-      in
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      flush stdout;
+      flush stderr;
       let pid =
-        match backend with
-        | Fork -> (
-          flush stdout;
-          flush stderr;
-          match Unix.fork () with
-          | 0 ->
-            (* the child serves leases on [b]; every inherited parent
-               end is closed so a sibling's death is visible as EOF in
-               the coordinator, not masked by our copy of its fd *)
-            List.iter
-              (fun fd -> try Unix.close fd with _ -> ())
-              (a :: parent_fds ());
-            (try
-               worker_loop ?faults
-                 ~alloc_budget_words:limits.alloc_budget_words (of_fd b) ~f
-             with _ -> ());
-            Unix._exit 0
-          | pid -> pid)
-        | Spawn start -> start b
+        match Unix.fork () with
+        | 0 ->
+          (* the child serves leases on [b]; every inherited parent end
+             is closed so a sibling's death is visible as EOF in the
+             coordinator, not masked by our copy of its fd *)
+          List.iter
+            (fun fd -> try Unix.close fd with _ -> ())
+            (a :: parent_fds ());
+          (try
+             worker_loop ?faults ~alloc_budget_words:limits.alloc_budget_words
+               (of_fd b) ~f
+           with _ -> ());
+          Unix._exit 0
+        | pid -> pid
       in
       Unix.close b;
       stats.st_spawned <- stats.st_spawned + 1;
@@ -794,12 +795,22 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
               restart_requested := false;
               crash_restart ()
             end;
+            (* a frame waiting unread means the worker spoke while this
+               loop was blocked in another worker's [handle] (up to
+               [recv_timeout]): not silence, so it is read next round *)
+            let pending w =
+              match Unix.select [ w.w_conn.c_fd ] [] [] 0. with
+              | [], _, _ -> false
+              | _ -> true
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+            in
             let now = Unix.gettimeofday () in
             List.iter
               (fun w ->
                 if w.w_alive && w.w_lease <> None then begin
-                  if now -. w.w_last_active > limits.hang_timeout_s then
-                    kill_worker w ~category:"stalled"
+                  if now -. w.w_last_active > limits.hang_timeout_s then begin
+                    if not (pending w) then kill_worker w ~category:"stalled"
+                  end
                   else if now -. w.w_granted > limits.lease_deadline_s then
                     kill_worker w ~category:"deadline"
                 end)

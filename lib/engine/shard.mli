@@ -1,5 +1,5 @@
 (** Multi-process sharding: a length-prefixed binary frame protocol over
-    Unix sockets, and a fork/spawn worker pool that deals leases from a
+    Unix sockets, and a forked worker pool that deals leases from a
     shared work queue.
 
     The coordinator owns a queue of opaque lease bodies.  Idle workers
@@ -120,44 +120,11 @@ val default_limits : limits
 (** {2 Worker side} *)
 
 val in_worker : unit -> bool
-(** True inside a pool worker process (set by the fork backend and by
-    {!worker_loop}).  Test hooks that deliberately kill a worker guard
-    on this so they can never take down the coordinator. *)
-
-val worker_loop :
-  ?faults:Faults.t ->
-  ?alloc_budget_words:float ->
-  conn ->
-  f:
-    (heartbeat:(execs:int -> covered:int -> crashes:int -> unit) ->
-    seq:int ->
-    attempt:int ->
-    string ->
-    string) ->
-  unit
-(** The worker protocol: request, execute, reply, repeat until
-    {!Shutdown} (or a dead coordinator socket).  [f] receives the lease
-    body and a [heartbeat] it may call during long work; its return
-    value is sent back as the {!Result} body.  Marks {!in_worker} and
-    relinquishes {!Status} TTY ownership (workers never draw).
-
-    [faults] must be the {i root} harness the coordinator holds (the
-    worker derives the per-(lease, attempt) child itself); it arms the
-    worker-side chaos sites [worker_oom], [frame_garble], [frame_stall].
-    [alloc_budget_words] arms the per-lease allocation watermark. *)
+(** True inside a forked pool worker process.  Test hooks that
+    deliberately kill a worker guard on this so they can never take down
+    the coordinator. *)
 
 (** {2 Coordinator side} *)
-
-type backend =
-  | Fork
-      (** [Unix.fork]: the child runs [f] via {!worker_loop} and
-          [_exit]s.  Must be chosen before any Domain workers exist. *)
-  | Spawn of (Unix.file_descr -> int)
-      (** custom spawner: given the child's socket end, start a process
-          whose {!worker_loop} serves it (e.g. exec ["metamut worker"]
-          with the socket as stdin) and return the pid.  The spawned
-          process arms its own faults/budget, typically from the
-          environment ({!Faults.export_to_env}/{!Faults.from_env}). *)
 
 type pool_event =
   | Lease_infra of { category : string; attempt : int; requeued : bool }
@@ -188,7 +155,6 @@ type stats = {
 
 val run_pool :
   shards:int ->
-  ?backend:backend ->
   ?limits:limits ->
   ?faults:Faults.t ->
   ?ctx:Ctx.t ->
@@ -210,8 +176,18 @@ val run_pool :
     calling process — the degenerate mode sharded runs are compared
     against for determinism, including under injected chaos.
 
+    Workers are [Unix.fork]ed children of the calling process.  Each
+    requests a lease, runs [f] on its body (with a [heartbeat] it may
+    call during long work) and replies with the return value, until
+    {!Shutdown} or a dead coordinator socket.  Workers mark
+    {!in_worker} and relinquish {!Status} TTY ownership.
+
+    Raises [Invalid_argument] unless [limits.hang_timeout_s > 0]: with
+    no positive read window the pool could never consume a request.
+
     Failure handling: a worker that EOFs, garbles a frame, goes silent
-    for [limits.hang_timeout_s] while holding a lease, exceeds
+    for [limits.hang_timeout_s] while holding a lease (a frame waiting
+    unread on its socket is not silence), exceeds
     [limits.lease_deadline_s] since its grant, or dies with the OOM
     status (exit 137, as the allocation governor does) is killed
     ([SIGKILL] + reap) and the lease requeued; a replacement worker is

@@ -167,8 +167,7 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
   }
 
 (* The pool work function: decode, execute, encode.  One server closure
-   per process — fork children inherit fresh counters, worker_main makes
-   its own. *)
+   per pool; each forked worker runs on its own copy of the counters. *)
 let server () =
   let counters = (ref 0, ref 0, ref 0) in
   fun ~heartbeat ~seq:_ ~attempt (body : string) ->
@@ -182,21 +181,6 @@ let server () =
         && Sys.getenv_opt "METAMUT_SHARD_KILL" = Some (unit_name l.l_unit)
       then Unix._exit 42;
       Engine.Shard.encode (exec_lease ~heartbeat ~counters l)
-
-let worker_main () =
-  Engine.Status.set_tty_owner false;
-  (* a spawned worker is a fresh exec: it rebuilds the root fault
-     harness and the allocation budget from the environment the CLI
-     exported, so its per-(lease, attempt) chaos streams match the
-     coordinator's *)
-  let faults = Engine.Faults.from_env () in
-  let alloc_budget_words =
-    Option.bind
-      (Sys.getenv_opt "METAMUT_SHARD_ALLOC_BUDGET")
-      float_of_string_opt
-  in
-  Engine.Shard.worker_loop ?faults ?alloc_budget_words
-    (Engine.Shard.of_fd Unix.stdin) ~f:(server ())
 
 (* ------------------------------------------------------------------ *)
 (* The coordinator                                                     *)
@@ -222,7 +206,7 @@ type t = {
 
 let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
     ?(opt_levels = []) ?engine ?faults ?checkpoint ?(resume = false)
-    ?(shards = 1) ?backend ?limits ?status ?progress ?serve ?flight_dir () :
+    ?(shards = 1) ?limits ?status ?progress ?serve ?flight_dir () :
     t =
   let us = units ?fuzzers ?compilers ~opt_levels () in
   Option.iter Engine.Checkpoint.mkdir_p checkpoint;
@@ -436,7 +420,7 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
   in
   let on_tick () = Option.iter Engine.Serve.poll serve in
   let raw, stats =
-    Engine.Shard.run_pool ~shards ?backend ?limits ?faults ?ctx:engine
+    Engine.Shard.run_pool ~shards ?limits ?faults ?ctx:engine
       ~on_heartbeat ~on_result ~on_event ~on_tick ?journal ~f:(server ())
       leases
   in

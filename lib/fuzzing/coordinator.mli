@@ -66,7 +66,6 @@ val run :
   ?checkpoint:string ->
   ?resume:bool ->
   ?shards:int ->
-  ?backend:Engine.Shard.backend ->
   ?limits:Engine.Shard.limits ->
   ?status:Engine.Status.t ->
   ?progress:(completed:int -> total:int -> string -> unit) ->
@@ -89,11 +88,11 @@ val run :
     run, so merged registries are shard-count-invariant.
 
     [faults] additionally arms the shard-layer chaos sites (see
-    {!Engine.Faults.site}) in the pool and its Fork workers; Spawn
-    workers arm themselves from the environment.  [limits] is the
-    per-lease resource governor ({!Engine.Shard.limits}): leases that
-    blow their deadline/budget are retried and eventually
-    {!quarantined_unit}-ed, never fatal to the run.
+    {!Engine.Faults.site}) in the pool and its forked workers.
+    [limits] is the per-lease resource governor
+    ({!Engine.Shard.limits}): leases that blow their deadline/budget are
+    retried and eventually {!quarantined_unit}-ed, never fatal to the
+    run.
 
     [status] receives aggregated heartbeat totals (one line for the
     whole pool; workers relinquish TTY ownership).  [progress] ticks
@@ -137,9 +136,3 @@ val aggregate_coverage : t -> Simcomp.Coverage.t
 
 val all_crashes : t -> string list
 (** Sorted union of compiler-prefixed crash keys across all units. *)
-
-val worker_main : unit -> unit
-(** Entry point for a spawned [worker] subprocess: serve leases over
-    stdin (the coordinator passes its socket end as the child's stdin)
-    until {!Engine.Shard.frame.Shutdown}.  Relinquishes TTY ownership;
-    never returns normally before shutdown. *)

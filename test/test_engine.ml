@@ -471,8 +471,7 @@ let verdicts =
   |> Alcotest.array
 
 let pool ~shards ?limits ?faults ?ctx ?on_event f leases =
-  Engine.Shard.run_pool ~shards ~backend:Engine.Shard.Fork ?limits ?faults
-    ?ctx ?on_event ~f leases
+  Engine.Shard.run_pool ~shards ?limits ?faults ?ctx ?on_event ~f leases
 
 let supervision_tests =
   [
@@ -579,7 +578,7 @@ let small_campaign =
 let campaign ?(cfg = small_campaign) ?fuzzers ?engine ?faults ~jobs () =
   Fuzzing.Coordinator.run
     ~cfg:{ cfg with Fuzzing.Campaign.jobs }
-    ?fuzzers ?engine ?faults ~shards:jobs ~backend:Engine.Shard.Fork ()
+    ?fuzzers ?engine ?faults ~shards:jobs ()
 
 let determinism_tests =
   [

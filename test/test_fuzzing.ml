@@ -404,8 +404,7 @@ let macro_tests =
 (* Campaigns run through the one executor, Coordinator.run; each test
    compares the inline reference (shards:1) against forked workers. *)
 let campaign ?fuzzers ?faults ?checkpoint ?resume ~shards cfg =
-  Fuzzing.Coordinator.run ~cfg ?fuzzers ?faults ?checkpoint ?resume ~shards
-    ~backend:Engine.Shard.Fork ()
+  Fuzzing.Coordinator.run ~cfg ?fuzzers ?faults ?checkpoint ?resume ~shards ()
 
 let same_results (a : Fuzzing.Coordinator.t) (b : Fuzzing.Coordinator.t) =
   check Alcotest.int "same cell count"

@@ -175,8 +175,7 @@ let pool_tests =
           Engine.Shard.run_pool ~shards:1 ~f:upper_f leases
         in
         let par_r, _ =
-          Engine.Shard.run_pool ~shards:3 ~backend:Engine.Shard.Fork
-            ~f:upper_f leases
+          Engine.Shard.run_pool ~shards:3 ~f:upper_f leases
         in
         check verdicts_testable "results equal" seq_r par_r;
         check Alcotest.int "no deaths inline" 0 seq_stats.Engine.Shard.st_died;
@@ -190,7 +189,7 @@ let pool_tests =
         let beats = ref 0 in
         let leases = Array.init 3 (fun i -> string_of_int i) in
         let _, _ =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork
+          Engine.Shard.run_pool ~shards:2
             ~on_heartbeat:(fun ~shard:_ ~execs:_ ~covered:_ ~crashes:_ ->
               incr beats)
             ~f:upper_f leases
@@ -206,7 +205,7 @@ let pool_tests =
         let ctx = Engine.Ctx.create () in
         let leases = [| "a"; "die"; "b"; "c" |] in
         let r, stats =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork ~ctx ~f
+          Engine.Shard.run_pool ~shards:2 ~ctx ~f
             leases
         in
         check verdicts_testable "all recovered"
@@ -230,7 +229,7 @@ let pool_tests =
           "ok:" ^ body
         in
         let r, stats =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork
+          Engine.Shard.run_pool ~shards:2
             ~limits:{ Engine.Shard.default_limits with max_attempts = 2 }
             ~f [| "x"; "bad"; "y" |]
         in
@@ -261,7 +260,7 @@ let chaos_tests =
     { Engine.Shard.default_limits with hang_timeout_s = 1.0 }
   in
   let run ~shards ?limits ?faults ?ctx ?journal leases =
-    Engine.Shard.run_pool ~shards ~backend:Engine.Shard.Fork
+    Engine.Shard.run_pool ~shards
       ~limits:(Option.value ~default:quick_limits limits)
       ?faults ?ctx ?journal ~f:upper_f leases
   in
@@ -352,7 +351,7 @@ let chaos_tests =
         in
         let ctx = Engine.Ctx.create () in
         let r, stats =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork
+          Engine.Shard.run_pool ~shards:2
             ~limits:
               {
                 Engine.Shard.default_limits with
@@ -388,7 +387,7 @@ let chaos_tests =
           "ok:" ^ body
         in
         let r, stats =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork
+          Engine.Shard.run_pool ~shards:2
             ~limits:
               {
                 Engine.Shard.default_limits with
@@ -409,17 +408,99 @@ let chaos_tests =
           (stats.Engine.Shard.st_oom >= 1));
     tc "no spawnable worker: inline fallback, chaos verdicts unchanged"
       (fun () ->
+        (* every forked worker dies on every lease, so the respawn budget
+           runs out while leases are still queued; the breaker and the
+           attempt budget sit high enough that the pool gives up on
+           workers before it quarantines anything *)
+        let limits =
+          { quick_limits with max_attempts = 10; breaker_deaths = 10 }
+        in
+        let f ~heartbeat ~seq ~attempt body =
+          if Engine.Shard.in_worker () then Unix._exit 3;
+          upper_f ~heartbeat ~seq ~attempt body
+        in
         let leases = Array.init 6 (fun i -> Fmt.str "f%d" i) in
         let spec = "io=0.3,oom=0.4" in
-        let seq_r, _ = run ~shards:1 ~faults:(faults_of_spec spec) leases in
-        let broken = Engine.Shard.Spawn (fun _ -> failwith "no exec") in
+        let seq_r, _ =
+          Engine.Shard.run_pool ~shards:1 ~limits
+            ~faults:(faults_of_spec spec) ~f leases
+        in
         let fb_r, stats =
-          Engine.Shard.run_pool ~shards:3 ~backend:broken ~limits:quick_limits
-            ~faults:(faults_of_spec spec) ~f:upper_f leases
+          Engine.Shard.run_pool ~shards:2 ~limits
+            ~faults:(faults_of_spec spec) ~f leases
         in
         check verdicts_testable "fallback ≡ inline" seq_r fb_r;
+        (* inline oom draws count as deaths too, hence >= *)
+        check Alcotest.bool "workers were spawned and all died" true
+          (stats.Engine.Shard.st_spawned > 0
+          && stats.Engine.Shard.st_died >= stats.Engine.Shard.st_spawned);
         check Alcotest.bool "attempts ran inline" true
           (stats.Engine.Shard.st_inline >= Array.length leases));
+    tc "a stalled peer does not get a healthy worker killed" (fun () ->
+        (* the coordinator blocks for up to the hang timeout reading a
+           stalled worker's partial frame; a healthy worker whose Result
+           arrives meanwhile has spoken and must not be killed as silent *)
+        let limits =
+          { quick_limits with max_attempts = 5; breaker_deaths = 5 }
+        in
+        let f ~heartbeat ~seq ~attempt body =
+          if Engine.Shard.in_worker () then
+            Unix.sleepf (if seq = 0 then 0.1 else 0.3);
+          upper_f ~heartbeat ~seq ~attempt body
+        in
+        let leases = [| "stalls"; "healthy" |] in
+        let infra = Hashtbl.create 8 in
+        let on_event ~seq = function
+          | Engine.Shard.Lease_infra { category; attempt; _ } ->
+            Hashtbl.add infra seq (category, attempt)
+          | _ -> ()
+        in
+        (* a seed whose stream stalls lease 0 on its first attempt and
+           never hits lease 1, read off the inline run's events *)
+        let rec pick seed =
+          if seed > 200 then Alcotest.fail "no seed stalls only lease 0";
+          Hashtbl.reset infra;
+          let r, _ =
+            Engine.Shard.run_pool ~shards:1 ~limits
+              ~faults:(faults_of_spec ~seed "stall=0.5")
+              ~on_event ~f leases
+          in
+          if
+            Hashtbl.find_all infra 0 |> List.mem ("stalled", 0)
+            && Hashtbl.find_all infra 1 = []
+          then (seed, r)
+          else pick (seed + 1)
+        in
+        let seed, seq_r = pick 0 in
+        Hashtbl.reset infra;
+        let par_r, stats =
+          Engine.Shard.run_pool ~shards:2 ~limits
+            ~faults:(faults_of_spec ~seed "stall=0.5")
+            ~on_event ~f leases
+        in
+        check Alcotest.bool "the stall fired" true
+          (stats.Engine.Shard.st_hung >= 1);
+        check
+          Alcotest.(list (pair string int))
+          "no attempt of the healthy lease was lost" []
+          (Hashtbl.find_all infra 1);
+        check verdicts_testable "verdicts equal the inline run" seq_r par_r);
+    tc "a hang timeout that is not > 0 is refused up front" (fun () ->
+        (* NaN first: a pool that accepted it would fail fast in select,
+           while an accepted 0 would spin forever *)
+        List.iter
+          (fun hang_timeout_s ->
+            match
+              Engine.Shard.run_pool ~shards:2
+                ~limits:{ Engine.Shard.default_limits with hang_timeout_s }
+                ~f:upper_f [| "a"; "b" |]
+            with
+            | exception Invalid_argument _ -> ()
+            | exception e ->
+              Alcotest.failf "hang_timeout_s %g raised %s" hang_timeout_s
+                (Printexc.to_string e)
+            | _ -> Alcotest.failf "hang_timeout_s %g was accepted" hang_timeout_s)
+          [ Float.nan; 0.; -1. ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -448,7 +529,7 @@ let result_testable =
 let run_coordinator ?opt_levels ?faults ?limits ?checkpoint ?resume ~shards
     () =
   Fuzzing.Coordinator.run ~cfg:small_cfg ~fuzzers:some_fuzzers ?opt_levels
-    ?faults ?limits ?checkpoint ?resume ~shards ~backend:Engine.Shard.Fork ()
+    ?faults ?limits ?checkpoint ?resume ~shards ()
 
 let coordinator_tests =
   [

@@ -472,7 +472,7 @@ let telemetry_tests =
           let t =
             Fuzzing.Coordinator.run
               ~cfg:{ cfg with Fuzzing.Campaign.jobs }
-              ~engine ~shards:jobs ~backend:Engine.Shard.Fork ()
+              ~engine ~shards:jobs ()
           in
           ( Engine.Telemetry.deterministic_snapshot engine.Engine.Ctx.metrics,
             Fuzzing.Coordinator.report t )
