@@ -108,6 +108,21 @@ if [ -x "$CLI" ]; then
     "$CLI" campaign --iterations 5 --lease-deadline=0
   bad_input "campaign --alloc-budget=0" "--alloc-budget" \
     "$CLI" campaign --iterations 5 --alloc-budget=0
+  # negative counts: refused, never run, clamped or crashed on
+  bad_input "fuzz --iterations=-5" "--iterations" \
+    "$CLI" fuzz --iterations=-5
+  bad_input "fuzz --pool-max=-3" "--pool-max" \
+    "$CLI" fuzz -n 5 --pool-max=-3
+  bad_input "fuzz --sample-every=-2" "--sample-every" \
+    "$CLI" fuzz -n 5 --sample-every=-2
+  bad_input "generate -n-2" "'-n'" \
+    "$CLI" generate -n-2
+  bad_input "generate --retry-budget=-4" "--retry-budget" \
+    "$CLI" generate -n 2 --retry-budget=-4
+  bad_input "campaign --iterations=-1" "--iterations" \
+    "$CLI" campaign --iterations=-1
+  bad_input "campaign --sample-every=-1" "--sample-every" \
+    "$CLI" campaign --iterations 5 --sample-every=-1
   rm -rf "$BAD"
 fi
 
@@ -133,7 +148,7 @@ if [ -x "$CLI" ]; then
   "$CLI" campaign --iterations 10 --shards 2 --checkpoint "$CKPT" \
     > /tmp/campaign_ckpt.txt 2> /dev/null
   # lose one completed cell, as a mid-run kill would
-  rm "$CKPT/done-uCFuzz.s-GCC.ckpt" "$CKPT/journal-uCFuzz.s-GCC.ckpt"
+  rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
   "$CLI" campaign --iterations 10 --shards 2 --checkpoint "$CKPT" --resume \
     > /tmp/campaign_resume.txt 2> /dev/null
   if cmp -s /tmp/campaign_ckpt.txt /tmp/campaign_resume.txt; then
@@ -243,7 +258,7 @@ if [ -x "$CLI" ]; then
   "$CLI" campaign --iterations 10 --shards 2 --faults "$FAULTS" \
     --fault-seed 3 --checkpoint "$CKPT" --telemetry "$TELA" \
     > /tmp/campaign_ftel.txt 2> /dev/null
-  rm "$CKPT/done-uCFuzz.s-GCC.ckpt" "$CKPT/journal-uCFuzz.s-GCC.ckpt"
+  rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
   "$CLI" campaign --iterations 10 --shards 2 --faults "$FAULTS" \
     --fault-seed 3 --checkpoint "$CKPT" --resume --telemetry "$TELB" \
     > /tmp/campaign_ftel_resume.txt 2> /dev/null
@@ -402,6 +417,25 @@ if [ -x "$CLI" ]; then
     cat /tmp/campaign_kill.err >&2
     exit 1
   }
+fi
+
+echo "== smoke: the allocation governor quarantines, nothing runs inline =="
+# Every lease blows a 1 Mword budget, in every attempt: each one must
+# die in a worker until its breaker trips, never finish on the
+# coordinator, where the governor does not apply.
+if [ -x "$CLI" ]; then
+  "$CLI" campaign --iterations 5 --shards 2 --alloc-budget 1 --metrics \
+    > /tmp/campaign_gov.txt 2> /tmp/campaign_gov.err
+  grep -q ', [1-9][0-9]* quarantined,' /tmp/campaign_gov.err || {
+    echo "FAIL: the allocation governor quarantined nothing" >&2
+    cat /tmp/campaign_gov.err >&2
+    exit 1
+  }
+  if grep -q '^inline  *[0-9]' /tmp/campaign_gov.txt; then
+    echo "FAIL: leases ran inline, out of the governor's reach" >&2
+    exit 1
+  fi
+  grep 'shard governor' /tmp/campaign_gov.err
 fi
 
 echo "== smoke: opt-matrix determinism across shard counts =="

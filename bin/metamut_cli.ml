@@ -573,7 +573,7 @@ let fuzz compiler iterations seed mutators sample_every schedule pool_max
   let cfg =
     { (Fuzzing.Mucfuzz.default_config ~mutators ()) with
       Fuzzing.Mucfuzz.max_attempts_per_iteration = 16;
-      sample_every = max 1 sample_every;
+      sample_every;
       schedule;
       pool_max =
         (if pool_max > 0 then pool_max
@@ -625,7 +625,10 @@ let fuzz_cmd =
       & info [ "c"; "compiler" ] ~doc:"gcc or clang.")
   in
   let iterations =
-    Arg.(value & opt int 200 & info [ "n"; "iterations" ] ~doc:"Iterations.")
+    Arg.(
+      value
+      & opt (int_in ~min:0 ()) 200
+      & info [ "n"; "iterations" ] ~doc:"Iterations.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let corpus =
@@ -645,7 +648,8 @@ let fuzz_cmd =
   in
   let sample_every =
     Arg.(
-      value & opt int 25
+      value
+      & opt (int_in ~min:1 ()) 25
       & info [ "sample-every" ] ~docv:"N"
           ~doc:"Coverage-trend sampling period, iterations per sample.")
   in
@@ -661,7 +665,8 @@ let fuzz_cmd =
   in
   let pool_max =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_in ~min:0 ()) 0
       & info [ "pool-max" ] ~docv:"N"
           ~doc:
             "Pool size the scheduler trims back to (0 = default 4096); \
@@ -694,7 +699,7 @@ let generate n seed retry_budget faults metrics telemetry =
       Metamut.Pipeline.retry =
         {
           base.Metamut.Pipeline.retry with
-          Engine.Retry.max_attempts = max 1 retry_budget;
+          Engine.Retry.max_attempts = retry_budget;
         };
       faults;
     }
@@ -733,12 +738,15 @@ let generate n seed retry_budget faults metrics telemetry =
   if metrics then Option.iter render_metrics engine
 
 let generate_cmd =
-  let n = Arg.(value & opt int 20 & info [ "n" ] ~doc:"Invocations.") in
+  let n =
+    Arg.(value & opt (int_in ~min:0 ()) 20 & info [ "n" ] ~doc:"Invocations.")
+  in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
   let retry_budget =
     Arg.(
       value
-      & opt int Engine.Retry.default_policy.Engine.Retry.max_attempts
+      & opt (int_in ~min:1 ())
+          Engine.Retry.default_policy.Engine.Retry.max_attempts
       & info [ "retry-budget" ] ~docv:"N"
           ~doc:
             "Maximum pipeline attempts per invocation when the simulated \
@@ -979,7 +987,10 @@ let campaign iterations sample_every schedule faults checkpoint resume
 
 let campaign_cmd =
   let iterations =
-    Arg.(value & opt int 200 & info [ "n"; "iterations" ] ~doc:"Iterations.")
+    Arg.(
+      value
+      & opt (int_in ~min:0 ()) 200
+      & info [ "n"; "iterations" ] ~doc:"Iterations.")
   in
   let checkpoint =
     Arg.(
@@ -1002,7 +1013,8 @@ let campaign_cmd =
   in
   let sample_every =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_in ~min:0 ()) 0
       & info [ "sample-every" ] ~docv:"N"
           ~doc:
             "Coverage-trend sampling period (0 = auto: ten samples across \

@@ -107,8 +107,6 @@ type t = {
 let create ?(seed = 0) config =
   { config; seed = Int64.of_int seed; counts = Array.make site_count 0 }
 
-let config_of (t : t) = t.config
-
 (* splitmix64 finalizer: full avalanche over the 64-bit input. *)
 let mix64 (z : int64) : int64 =
   let open Int64 in

@@ -46,7 +46,6 @@ type t
 (** A seeded harness (mutable per-site draw counters). *)
 
 val create : ?seed:int -> config -> t
-val config_of : t -> config
 
 val derive : t -> tag:int -> t
 (** Child harness with the same config and a seed mixed from [tag].

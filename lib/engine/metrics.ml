@@ -145,9 +145,6 @@ let quantile_of ~(edges : float array) ~(counts : int array) ~total q =
     go 0 0
   end
 
-let histogram_quantile (h : histogram) q =
-  quantile_of ~edges:h.h_edges ~counts:h.h_counts ~total:h.h_total q
-
 type value =
   | Counter of int
   | Gauge of float

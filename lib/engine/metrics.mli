@@ -58,10 +58,6 @@ val quantile_of :
     it.  Observations in the overflow bucket clamp to the top edge;
     an empty histogram reads 0.  [q] is clamped to [\[0, 1\]]. *)
 
-val histogram_quantile : histogram -> float -> float
-(** {!quantile_of} over a live instrument ([histogram_quantile h 0.95]
-    is the p95 estimate). *)
-
 type value =
   | Counter of int
   | Gauge of float

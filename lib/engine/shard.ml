@@ -249,13 +249,6 @@ type verdict =
   | Failed of string
   | Quarantined of { q_reason : string; q_attempts : int }
 
-let verdict_to_result = function
-  | Done body -> Ok body
-  | Failed msg -> Error msg
-  | Quarantined { q_reason; q_attempts } ->
-    Error
-      (Printf.sprintf "quarantined after %d attempts: %s" q_attempts q_reason)
-
 type limits = {
   hang_timeout_s : float;
   lease_deadline_s : float;
@@ -485,12 +478,41 @@ let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
       end
     end
   in
-  let finished () = Array.for_all Option.is_some results in
-  (* One inline attempt on the calling process: the sequential
-     degenerate mode, and the last-resort fallback when no worker can
-     be spawned.  Draws the same per-(lease, attempt) fault stream as a
-     worker would and mirrors the death accounting, so the final
-     verdict per lease is identical to the pooled path. *)
+  (* A worker death (or its inline stand-in) by category, into [stats]
+     and the [shard.*] counters. *)
+  let count_death ~category =
+    (match category with
+    | "worker-oom" ->
+      stats.st_oom <- stats.st_oom + 1;
+      bump "shard.oom_killed"
+    | "stalled" ->
+      stats.st_hung <- stats.st_hung + 1;
+      bump "shard.hung"
+    | "deadline" ->
+      stats.st_deadline <- stats.st_deadline + 1;
+      bump "shard.deadline_killed"
+    | "garbled-frame" ->
+      stats.st_garbled <- stats.st_garbled + 1;
+      bump "shard.garbled"
+    | _ -> ());
+    stats.st_died <- stats.st_died + 1;
+    bump "shard.worker_died"
+  in
+  (* The work function raised: the lease retries until its attempts run
+     out, then fails — a fault of the work, not of the infrastructure. *)
+  let work_failed seq msg =
+    if results.(seq) = None then begin
+      if attempts.(seq) >= limits.max_attempts then commit seq (Failed msg)
+      else begin
+        notify seq (Lease_retry { attempt = attempts.(seq) - 1; msg });
+        Queue.add seq queue
+      end
+    end
+  in
+  (* One inline attempt on the calling process.  Draws the same
+     per-(lease, attempt) fault stream as a worker would and mirrors the
+     death accounting, so the final verdict per lease is identical to
+     the pooled path. *)
   let run_inline seq =
     attempts.(seq) <- attempts.(seq) + 1;
     let attempt = attempts.(seq) - 1 in
@@ -499,15 +521,10 @@ let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
       match fh with Some h -> Faults.fire ?ctx h site | None -> false
     in
     let die ~category =
-      stats.st_died <- stats.st_died + 1;
-      bump "shard.worker_died";
+      count_death ~category;
       infra_failure seq ~category
     in
-    if inj Faults.Worker_oom then begin
-      stats.st_oom <- stats.st_oom + 1;
-      bump "shard.oom_killed";
-      die ~category:"worker-oom"
-    end
+    if inj Faults.Worker_oom then die ~category:"worker-oom"
     else begin
       let heartbeat ~execs ~covered ~crashes =
         Option.iter
@@ -516,37 +533,13 @@ let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
       in
       match f ~heartbeat ~seq ~attempt leases.(seq) with
       | r ->
-        if inj Faults.Frame_garble then begin
-          stats.st_garbled <- stats.st_garbled + 1;
-          bump "shard.garbled";
-          die ~category:"garbled-frame"
-        end
-        else if inj Faults.Frame_stall then begin
-          stats.st_hung <- stats.st_hung + 1;
-          bump "shard.hung";
-          die ~category:"stalled"
-        end
+        if inj Faults.Frame_garble then die ~category:"garbled-frame"
+        else if inj Faults.Frame_stall then die ~category:"stalled"
         else commit seq (Done r)
-      | exception e ->
-        let msg = Printexc.to_string e in
-        if attempts.(seq) >= limits.max_attempts then commit seq (Failed msg)
-        else begin
-          notify seq (Lease_retry { attempt = attempts.(seq) - 1; msg });
-          Queue.add seq queue
-        end
+      | exception e -> work_failed seq (Printexc.to_string e)
     end
   in
-  if shards <= 1 || n = 0 then begin
-    while not (Queue.is_empty queue) do
-      tick ();
-      run_inline (Queue.pop queue)
-    done;
-    tick ();
-    ( Array.map
-        (function Some r -> r | None -> Failed "lease never ran") results,
-      stats )
-  end
-  else begin
+  if shards > 1 then begin
     let previous_sigpipe =
       (* a worker dying mid-write must surface as EPIPE, not kill us *)
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
@@ -621,22 +614,7 @@ let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
         (try Unix.kill w.w_pid Sys.sigkill with _ -> ());
         let status = reap w in
         let category = if oom_death w status then "worker-oom" else category in
-        (match category with
-        | "worker-oom" ->
-          stats.st_oom <- stats.st_oom + 1;
-          bump "shard.oom_killed"
-        | "stalled" ->
-          stats.st_hung <- stats.st_hung + 1;
-          bump "shard.hung"
-        | "deadline" ->
-          stats.st_deadline <- stats.st_deadline + 1;
-          bump "shard.deadline_killed"
-        | "garbled-frame" ->
-          stats.st_garbled <- stats.st_garbled + 1;
-          bump "shard.garbled"
-        | _ -> ());
-        stats.st_died <- stats.st_died + 1;
-        bump "shard.worker_died";
+        count_death ~category;
         match w.w_lease with
         | None -> ()
         | Some (seq, _) ->
@@ -687,15 +665,7 @@ let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
       | Ok (Failed { seq; msg }) ->
         w.w_last_active <- Unix.gettimeofday ();
         w.w_lease <- None;
-        if results.(seq) = None then begin
-          if attempts.(seq) >= limits.max_attempts then
-            commit seq (Failed msg)
-          else begin
-            (* a healthy worker retries elsewhere *)
-            notify seq (Lease_retry { attempt = attempts.(seq) - 1; msg });
-            Queue.add seq queue
-          end
-        end
+        work_failed seq msg
       | Ok (Plain (Heartbeat { execs; covered; crashes })) ->
         w.w_last_active <- Unix.gettimeofday ();
         Option.iter
@@ -706,18 +676,19 @@ let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
       | Error Closed -> kill_worker w
       | Error Timeout -> () (* partial frame in flight; hang scan decides *)
     in
-    let spawn_budget = ref (shards * limits.max_attempts) in
+    (* Keep one worker per queued lease, up to [shards].  Respawns need
+       no budget of their own: every death of a worker holding a lease
+       is charged to that lease's attempts and breaker.  Once
+       [socketpair] or [fork] fails, the pool spawns no more and the
+       queue drains on the calling process. *)
+    let spawnable = ref true in
     let maybe_spawn () =
-      (* keep one worker per queued lease up to [shards], while the
-         respawn budget lasts (bounded: each death consumes attempts) *)
       let want = min shards (Queue.length queue + List.length (alive ())) in
-      while List.length (alive ()) < want && !spawn_budget > 0 do
-        decr spawn_budget;
-        let shard = List.length (alive ()) in
-        match spawn shard with
+      while !spawnable && List.length (alive ()) < want do
+        match spawn (List.length (alive ())) with
         | (_ : worker) ->
           if stats.st_spawned > shards then bump "shard.respawned"
-        | exception _ -> spawn_budget := 0
+        | exception _ -> spawnable := false
       done
     in
     (* Simulated coordinator crash-restart: the "new" coordinator keeps
@@ -741,8 +712,7 @@ let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
             (try Unix.kill w.w_pid Sys.sigkill with _ -> ());
             ignore (reap w)
           end)
-        !workers;
-      spawn_budget := shards * limits.max_attempts
+        !workers
     in
     Fun.protect
       ~finally:(fun () ->
@@ -751,74 +721,60 @@ let run_pool ~shards ?(limits = default_limits) ?faults ?ctx ?on_heartbeat
         | Some b -> (try Sys.set_signal Sys.sigpipe b with _ -> ())
         | None -> ())
       (fun () ->
-        for i = 0 to min shards n - 1 do
-          match spawn i with
-          | (_ : worker) -> ()
-          | exception _ -> spawn_budget := 0
-        done;
-        while not (finished ()) || alive () <> [] do
+        (* every uncommitted lease is queued or held by a live worker,
+           so an empty pool means the work is done or nothing spawns *)
+        maybe_spawn ();
+        while alive () <> [] do
           tick ();
           let live = alive () in
-          if live = [] then begin
-            if not (finished ()) then begin
-              maybe_spawn ();
-              if alive () = [] then begin
-                (* nothing spawnable: finish the queue on this process *)
-                while not (Queue.is_empty queue) do
-                  tick ();
-                  stats.st_inline <- stats.st_inline + 1;
-                  bump "shard.inline";
-                  run_inline (Queue.pop queue)
-                done;
-                (* leases neither queued nor committed were lost with
-                   their workers; fail them explicitly *)
-                Array.iteri
-                  (fun seq r ->
-                    if r = None then
-                      commit seq (Failed "lease lost: no worker survived"))
-                  results
-              end
-            end
-          end
-          else begin
-            let fds = List.map (fun w -> w.w_conn.c_fd) live in
-            let readable =
-              match Unix.select fds [] [] 0.25 with
-              | r, _, _ -> r
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-            in
-            List.iter
-              (fun w ->
-                if w.w_alive && List.mem w.w_conn.c_fd readable then handle w)
-              live;
-            if !restart_requested then begin
-              restart_requested := false;
-              crash_restart ()
-            end;
-            (* a frame waiting unread means the worker spoke while this
-               loop was blocked in another worker's [handle] (up to
-               [recv_timeout]): not silence, so it is read next round *)
-            let pending w =
-              match Unix.select [ w.w_conn.c_fd ] [] [] 0. with
-              | [], _, _ -> false
-              | _ -> true
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-            in
-            let now = Unix.gettimeofday () in
-            List.iter
-              (fun w ->
-                if w.w_alive && w.w_lease <> None then begin
-                  if now -. w.w_last_active > limits.hang_timeout_s then begin
-                    if not (pending w) then kill_worker w ~category:"stalled"
-                  end
-                  else if now -. w.w_granted > limits.lease_deadline_s then
-                    kill_worker w ~category:"deadline"
-                end)
-              (alive ());
-            if not (Queue.is_empty queue) then maybe_spawn ()
-          end
-        done);
-    ( Array.map
-        (function Some r -> r | None -> Failed "lease never ran") results,
-      stats )
-  end
+          let fds = List.map (fun w -> w.w_conn.c_fd) live in
+          let readable =
+            match Unix.select fds [] [] 0.25 with
+            | r, _, _ -> r
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+          in
+          List.iter
+            (fun w ->
+              if w.w_alive && List.mem w.w_conn.c_fd readable then handle w)
+            live;
+          if !restart_requested then begin
+            restart_requested := false;
+            crash_restart ()
+          end;
+          (* a frame waiting unread means the worker spoke while this
+             loop was blocked in another worker's [handle] (up to
+             [recv_timeout]): not silence, so it is read next round *)
+          let pending w =
+            match Unix.select [ w.w_conn.c_fd ] [] [] 0. with
+            | [], _, _ -> false
+            | _ -> true
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+          in
+          let now = Unix.gettimeofday () in
+          List.iter
+            (fun w ->
+              if w.w_alive && w.w_lease <> None then begin
+                if now -. w.w_last_active > limits.hang_timeout_s then begin
+                  if not (pending w) then kill_worker w ~category:"stalled"
+                end
+                else if now -. w.w_granted > limits.lease_deadline_s then
+                  kill_worker w ~category:"deadline"
+              end)
+            (alive ());
+          if not (Queue.is_empty queue) then maybe_spawn ()
+        done)
+  end;
+  (* The queue left for the calling process: every lease at
+     [shards <= 1], and at [shards > 1] whatever remains once no worker
+     can be started (counted as [shard.inline]). *)
+  while not (Queue.is_empty queue) do
+    tick ();
+    if shards > 1 then begin
+      stats.st_inline <- stats.st_inline + 1;
+      bump "shard.inline"
+    end;
+    run_inline (Queue.pop queue)
+  done;
+  tick ();
+  ( Array.map (function Some r -> r | None -> Failed "lease never ran") results,
+    stats )

@@ -11,8 +11,8 @@
     incremented attempt counter; a lease that exhausts its attempts (or
     trips the circuit breaker by deterministically killing workers) is
     {!Quarantined} — recorded, skipped, campaign continues.  If no
-    worker can be respawned the remaining leases run on the calling
-    process, so every lease reaches a verdict even if every worker dies.
+    worker can be started at all, the remaining leases run on the
+    calling process, so every lease still reaches a verdict.
 
     Chaos crosses the process boundary here: with a {!Faults} harness,
     the shard-layer sites ([frame_garble], [frame_stall], [worker_oom],
@@ -94,10 +94,6 @@ type verdict =
           [q_reason] is a stable category string, identical between the
           pooled and inline paths for injected faults *)
 
-val verdict_to_result : verdict -> (string, string) result
-(** [Done] → [Ok]; [Failed] and [Quarantined] → [Error] with a
-    human-readable message. *)
-
 type limits = {
   hang_timeout_s : float;
       (** silence while holding a lease before the worker is killed
@@ -150,7 +146,9 @@ type stats = {
   mutable st_requeued : int;      (** leases re-dealt after a death *)
   mutable st_quarantined : int;   (** leases set aside by the governor *)
   mutable st_crash_restarts : int;(** simulated coordinator crash-restarts *)
-  mutable st_inline : int;        (** lease attempts run on the calling process *)
+  mutable st_inline : int;
+      (** lease attempts run on the calling process at [shards > 1]
+          because no worker could be started *)
 }
 
 val run_pool :
@@ -194,8 +192,13 @@ val run_pool :
     spawned while work remains.  A lease dealt [limits.max_attempts]
     times without a result — or charged [limits.breaker_deaths] worker
     deaths — is {!Quarantined}; only a work-function exception after
-    the full attempt budget yields {!Failed}.  If every worker is gone
-    and none can be spawned, the remaining queue runs inline.
+    the full attempt budget yields {!Failed}.  These per-lease limits
+    are the only bound on respawns: every death of a worker holding a
+    lease is charged to it.  The pool stops spawning only when
+    [socketpair] or [fork] fails; the queue left then runs on the
+    calling process, as at [shards <= 1], and each such attempt counts
+    in [st_inline] and [shard.inline].  The allocation budget and the
+    lease deadline do not apply to those attempts.
 
     [faults] arms the shard-layer chaos sites; [coordinator_crash]
     triggers a simulated coordinator crash-restart (workers lost,

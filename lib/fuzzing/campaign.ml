@@ -129,28 +129,8 @@ type t = {
   resumed_cells : int;
 }
 
-(* Checkpointing is per cell: each (fuzzer, compiler) pair snapshots its
-   own μCFuzz state under a stable file name, and a completed cell's
-   final result is saved as a second file so resume can skip it
-   entirely.  The fingerprint covers every parameter the snapshot is
-   only valid for; [jobs] is deliberately excluded (it schedules
-   nothing, and older checkpoints were written without it). *)
 let cell_name (fuzzer, compiler) =
   Fmt.str "%s-%s" (fuzzer_name fuzzer) (Simcomp.Bugdb.compiler_to_string compiler)
-
-let cell_ckpt_file dir cell =
-  Filename.concat dir ("cell-" ^ cell_name cell ^ ".ckpt")
-
-let cell_done_file dir cell =
-  Filename.concat dir ("done-" ^ cell_name cell ^ ".ckpt")
-
-let cell_fingerprint (cfg : config) ?faults cell =
-  Fmt.str "campaign|%s|it=%d|seeds=%d|every=%d|seed=%d|ma=%d|sched=%b|%s"
-    (cell_name cell) cfg.iterations cfg.seeds cfg.sample_every cfg.seed_value
-    cfg.max_attempts cfg.schedule
-    (match faults with
-    | None -> "faults=off"
-    | Some f -> "faults=" ^ Engine.Faults.fingerprint f)
 
 let result (t : t) fuzzer compiler = List.assoc_opt (fuzzer, compiler) t.results
 

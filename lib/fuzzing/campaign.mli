@@ -2,9 +2,9 @@
     under an equal *wall-clock* budget (per-tool throughput factors from
     Table 5), and the statistics behind Figures 7-9 and Tables 4-5.
 
-    This module defines one cell ({!run_one}), its checkpoint files, and
-    the assembled result {!t}.  {!Coordinator.run} executes the matrix
-    and {!Coordinator.to_campaign} views its result as a {!t}. *)
+    This module defines one cell ({!run_one}) and the assembled result
+    {!t}.  {!Coordinator.run} executes the matrix, owns the checkpoint
+    layout, and {!Coordinator.to_campaign} views its result as a {!t}. *)
 
 type fuzzer_id =
   | MuCFuzz_s   (** μCFuzz with the 68 supervised mutators *)
@@ -66,19 +66,6 @@ val cell_name : cell -> string
 (** Stable display name, ["<fuzzer>-<compiler>"] — also the Chrome-trace
     thread label and the checkpoint file stem. *)
 
-val cell_ckpt_file : string -> cell -> string
-(** [cell_ckpt_file dir cell]: the mid-run snapshot path of this cell.
-    The names are stable, so a campaign interrupted under [--shards 1]
-    resumes under [--shards K] and vice versa. *)
-
-val cell_done_file : string -> cell -> string
-(** The completed-cell result path (restored on resume). *)
-
-val cell_fingerprint :
-  config -> ?faults:Engine.Faults.t -> cell -> string
-(** The validity stamp those files are saved under: every parameter the
-    snapshot depends on ([jobs] deliberately excluded). *)
-
 type t = {
   config : config;
   results : (cell * Fuzz_result.t) list;
@@ -86,7 +73,7 @@ type t = {
       (** cells whose computation kept failing; empty in a healthy
           campaign *)
   resumed_cells : int;
-      (** cells restored from completed-cell checkpoints, not recomputed *)
+      (** cells restored from their journals, not recomputed *)
 }
 
 val result : t -> fuzzer_id -> Simcomp.Compiler.compiler -> Fuzz_result.t option

@@ -38,32 +38,35 @@ let units ?(fuzzers = Campaign.all_fuzzers)
         compilers)
     fuzzers
 
-(* Default-axis units use the Campaign cell paths and fingerprints
-   verbatim, so checkpoint directories from older releases still
-   resume.  Opt units get level-suffixed names. *)
+(* The checkpoint layout.  File stems are [unit_name]s, which on the
+   default axis are the plain cell names, so checkpoint directories
+   from older releases still resume.  [cell-] holds a μCFuzz unit's
+   mid-run snapshot, written by whoever runs the lease.  [journal-]
+   holds the unit's full encoded [worker_result] (result + metrics +
+   trace), written by the coordinator as each Result commits — before
+   the join barrier.  A coordinator killed mid-campaign loses at most
+   the in-flight leases: on --resume, journaled units restore with full
+   telemetry fidelity, and the rest recompute deterministically (μCFuzz
+   units from their snapshot). *)
 let unit_ckpt_file dir (u : unit_id) =
-  match u.u_opt with
-  | None -> Campaign.cell_ckpt_file dir (u.u_fuzzer, u.u_compiler)
-  | Some _ -> Filename.concat dir ("cell-" ^ unit_name u ^ ".ckpt")
+  Filename.concat dir ("cell-" ^ unit_name u ^ ".ckpt")
 
-let unit_done_file dir (u : unit_id) =
-  match u.u_opt with
-  | None -> Campaign.cell_done_file dir (u.u_fuzzer, u.u_compiler)
-  | Some _ -> Filename.concat dir ("done-" ^ unit_name u ^ ".ckpt")
-
-(* The journal holds the unit's full encoded [worker_result] (result +
-   metrics + trace), written by the coordinator as each Result commits
-   — before the join barrier.  A coordinator killed mid-campaign loses
-   at most the in-flight leases: on --resume, journaled units restore
-   with full telemetry fidelity, and the rest recompute
-   deterministically.  The done file (Fuzz_result only) stays the
-   fallback when a journal is missing or unreadable. *)
 let unit_journal_file dir (u : unit_id) =
   Filename.concat dir ("journal-" ^ unit_name u ^ ".ckpt")
 
-let unit_fingerprint cfg ?faults (u : unit_id) =
-  let base = Campaign.cell_fingerprint cfg ?faults (u.u_fuzzer, u.u_compiler) in
-  match u.u_opt with None -> base | Some l -> Fmt.str "%s|O%d" base l
+(* The validity stamp both files are saved under: every parameter the
+   snapshot depends on ([jobs] deliberately excluded — it schedules
+   nothing, and older checkpoints were written without it), with the
+   opt level appended on that axis. *)
+let unit_fingerprint (cfg : Campaign.config) ?faults (u : unit_id) =
+  Fmt.str "campaign|%s|it=%d|seeds=%d|every=%d|seed=%d|ma=%d|sched=%b|%s%s"
+    (Campaign.cell_name (u.u_fuzzer, u.u_compiler))
+    cfg.iterations cfg.seeds cfg.sample_every cfg.seed_value cfg.max_attempts
+    cfg.schedule
+    (match faults with
+    | None -> "faults=off"
+    | Some f -> "faults=" ^ Engine.Faults.fingerprint f)
+    (match u.u_opt with None -> "" | Some l -> Fmt.str "|O%d" l)
 
 let unit_options (u : unit_id) =
   Option.map
@@ -148,13 +151,6 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
   in
   (* flush the partial GC batch so the merge sees this unit's tail *)
   Option.iter Engine.Probe.sample ctx.Engine.Ctx.probe;
-  Option.iter
-    (fun dir ->
-      ignore
-        (Engine.Checkpoint.save ~ctx ~path:(unit_done_file dir u)
-           ~fingerprint:(unit_fingerprint cfg ?faults:l.l_faults u)
-           r))
-    l.l_checkpoint;
   beat ();
   {
     wr_result = r;
@@ -211,32 +207,21 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
   let us = units ?fuzzers ?compilers ~opt_levels () in
   Option.iter Engine.Checkpoint.mkdir_p checkpoint;
   let fingerprint u = unit_fingerprint cfg ?faults u in
-  (* journal first (full worker_result, telemetry intact), done file as
-     the fallback *)
+  (* a unit whose journal is missing or unreadable is recomputed *)
   let restored, todo =
     match checkpoint with
     | Some dir when resume ->
       List.partition_map
         (fun u ->
-          let fp = fingerprint u in
-          let from_done () =
-            match
-              Engine.Checkpoint.load ~path:(unit_done_file dir u)
-                ~fingerprint:fp
-            with
-            | Ok (r : Fuzz_result.t) -> Either.Left (u, r, None)
-            | Error _ -> Either.Right u
-          in
           match
             Engine.Checkpoint.load ~path:(unit_journal_file dir u)
-              ~fingerprint:fp
+              ~fingerprint:(fingerprint u)
           with
           | Ok (body : string) -> (
             match Engine.Shard.decode body with
-            | Ok (wr : worker_result) ->
-              Either.Left (u, wr.wr_result, Some wr)
-            | Error _ -> from_done ())
-          | Error _ -> from_done ())
+            | Ok (wr : worker_result) -> Either.Left (u, wr)
+            | Error _ -> Either.Right u)
+          | Error _ -> Either.Right u)
         us
     | _ -> ([], us)
   in
@@ -445,10 +430,7 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
      uninterrupted one. *)
   let wr_of =
     let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (u, _, wro) ->
-        Option.iter (fun wr -> Hashtbl.replace tbl u wr) wro)
-      restored;
+    List.iter (fun (u, wr) -> Hashtbl.replace tbl u wr) restored;
     List.iter
       (fun (u, r) ->
         match r with `Ok wr -> Hashtbl.replace tbl u wr | _ -> ())
@@ -483,13 +465,6 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
           | _ -> ())
         | None -> ())
       us);
-  let done_units =
-    List.map (fun (u, r, _) -> (u, r)) restored
-    @ List.filter_map
-        (fun (u, r) ->
-          match r with `Ok wr -> Some (u, wr.wr_result) | _ -> None)
-        computed
-  in
   {
     config = cfg;
     shards;
@@ -497,7 +472,7 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
     (* canonical order, independent of restore/completion interleaving *)
     results =
       List.filter_map
-        (fun u -> Option.map (fun r -> (u, r)) (List.assoc_opt u done_units))
+        (fun u -> Option.map (fun wr -> (u, wr.wr_result)) (wr_of u))
         us;
     failures =
       List.filter_map

@@ -11,8 +11,9 @@
 
     A worker that dies, hangs, or garbles a frame loses its lease back
     to the queue ({!Engine.Shard.run_pool}).  With [checkpoint], every
-    unit writes stable snapshot, [done-] and [journal-] files, so a
-    campaign interrupted at one shard count resumes at any other. *)
+    μCFuzz unit writes a stable [cell-] snapshot and the coordinator a
+    [journal-] file per completed unit, so a campaign interrupted at one
+    shard count resumes at any other.  This module owns that layout. *)
 
 type unit_id = {
   u_fuzzer : Campaign.fuzzer_id;
@@ -110,13 +111,15 @@ val run :
     rendered log is byte-identical at any shard count (for the
     shard-count-invariant event categories).
 
-    With [checkpoint]/[resume], completed units are restored — journal
-    files first (full [worker_result], written as each Result arrives
-    at the coordinator, so a coordinator SIGKILL mid-campaign resumes
-    with telemetry intact), [done-] files (the result alone) as the
-    fallback — and interrupted μCFuzz units continue from their cell
-    snapshots.  File names and fingerprints are stable across
-    releases, so older checkpoint directories still resume. *)
+    With [checkpoint]/[resume], completed units are restored from their
+    journal files (the full [worker_result], written as each Result
+    commits at the coordinator, at any shard count, so a coordinator
+    SIGKILL mid-campaign resumes with telemetry intact).  A unit whose
+    journal is missing or unreadable is recomputed to the same result;
+    an interrupted μCFuzz unit continues from its [cell-] snapshot.
+    File names and fingerprints are stable across releases, so older
+    checkpoint directories still resume; a [done-] file they hold is
+    ignored. *)
 
 val to_campaign : t -> Campaign.t
 (** View a default-axis run as a {!Campaign.t} (for the RQ1 table and

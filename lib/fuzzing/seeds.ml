@@ -234,6 +234,3 @@ let corpus ?(n = 200) (rng : Rng.t) : string list =
       (fun _ -> Ast_gen.gen_source rng)
   in
   from_templates @ generated
-
-(* The paper's seed count. *)
-let paper_seed_count = 1839

@@ -16,6 +16,3 @@ val of_template : string -> string option
 val corpus : ?n:int -> Cparse.Rng.t -> string list
 (** [corpus ~n rng]: every template plus generated programs up to [n]
     seeds (deterministic in [rng]). *)
-
-val paper_seed_count : int
-(** 1,839 — the paper's seed count, for documentation purposes. *)

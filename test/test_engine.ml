@@ -64,28 +64,27 @@ let metrics_tests =
           check (Alcotest.array Alcotest.int) "buckets" [| 1; 1; 0 |] counts;
           check Alcotest.int "total" 2 total
         | _ -> Alcotest.fail "histogram missing");
-    tc "histogram_quantile interpolates, clamps, and handles empties" (fun () ->
+    tc "quantile_of interpolates, clamps, and handles empties" (fun () ->
         let reg = Engine.Metrics.create () in
         let h = Engine.Metrics.histogram ~edges:[| 1.; 10. |] reg "q" in
+        (* read off snapshot data, as the telemetry exporter does *)
+        let quantile q =
+          match List.assoc "q" (Engine.Metrics.snapshot reg) with
+          | Engine.Metrics.Histogram { edges; counts; total; _ } ->
+            Engine.Metrics.quantile_of ~edges ~counts ~total q
+          | _ -> Alcotest.fail "histogram missing"
+        in
         check (Alcotest.float 1e-9) "empty histogram reads 0" 0.
-          (Engine.Metrics.histogram_quantile h 0.5);
+          (quantile 0.5);
         (* one observation per bucket: (0,1], (1,10], overflow *)
         List.iter (Engine.Metrics.observe h) [ 0.5; 5.; 20. ];
         (* p50: rank 1.5 falls in the second bucket, halfway in *)
-        check (Alcotest.float 1e-9) "p50 interpolated" 5.5
-          (Engine.Metrics.histogram_quantile h 0.5);
+        check (Alcotest.float 1e-9) "p50 interpolated" 5.5 (quantile 0.5);
         (* p95: rank 2.85 falls in the overflow bucket -> top edge *)
         check (Alcotest.float 1e-9) "overflow clamps to top edge" 10.
-          (Engine.Metrics.histogram_quantile h 0.95);
+          (quantile 0.95);
         (* out-of-range q is clamped *)
-        check (Alcotest.float 1e-9) "q > 1 clamps" 10.
-          (Engine.Metrics.histogram_quantile h 2.);
-        (* quantile_of works straight off snapshot data *)
-        match List.assoc "q" (Engine.Metrics.snapshot reg) with
-        | Engine.Metrics.Histogram { edges; counts; total; _ } ->
-          check (Alcotest.float 1e-9) "quantile_of agrees" 5.5
-            (Engine.Metrics.quantile_of ~edges ~counts ~total 0.5)
-        | _ -> Alcotest.fail "histogram missing");
+        check (Alcotest.float 1e-9) "q > 1 clamps" 10. (quantile 2.));
     tc "counters_with_prefix strips and sorts" (fun () ->
         let reg = Engine.Metrics.create () in
         Engine.Metrics.incr ~by:7 (Engine.Metrics.counter reg "p.zeta");

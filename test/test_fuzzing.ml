@@ -498,11 +498,11 @@ let campaign_tests =
         let first = campaign ~fuzzers ~checkpoint:dir ~shards:2 cfg in
         check Alcotest.int "first run computes everything" 0
           first.Fuzzing.Coordinator.resumed_units;
-        (* simulate a crash that lost one completed cell's result: both
-           its done- file and its journal *)
+        (* simulate a crash that lost one completed cell's result: its
+           journal *)
         List.iter
           (fun f -> Sys.remove (Filename.concat dir f))
-          [ "done-uCFuzz.u-GCC.ckpt"; "journal-uCFuzz.u-GCC.ckpt" ];
+          [ "journal-uCFuzz.u-GCC.ckpt" ];
         let resumed =
           campaign ~fuzzers ~checkpoint:dir ~resume:true ~shards:4 cfg
         in

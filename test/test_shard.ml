@@ -3,7 +3,7 @@
    the worker pool (shards:1 ≡ shards:K, death-mid-lease requeue,
    deterministic failures), the sharded campaign coordinator
    (shards:1 ≡ shards:4 byte-identical report, opt-matrix determinism,
-   resume from done- files alone), and Status TTY ownership. *)
+   resume from journals alone), and Status TTY ownership. *)
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -406,36 +406,33 @@ let chaos_tests =
           (Engine.Shard.Done "ok:b") r.(2);
         check Alcotest.bool "governor kills counted" true
           (stats.Engine.Shard.st_oom >= 1));
-    tc "no spawnable worker: inline fallback, chaos verdicts unchanged"
+    tc "workers that die on every lease: breaker quarantines, none inline"
       (fun () ->
-        (* every forked worker dies on every lease, so the respawn budget
-           runs out while leases are still queued; the breaker and the
-           attempt budget sit high enough that the pool gives up on
-           workers before it quarantines anything *)
+        (* the breaker trips before the attempt budget runs out; nothing
+           but the per-lease limits stops the respawns *)
         let limits =
-          { quick_limits with max_attempts = 10; breaker_deaths = 10 }
+          { quick_limits with max_attempts = 6; breaker_deaths = 4 }
         in
         let f ~heartbeat ~seq ~attempt body =
           if Engine.Shard.in_worker () then Unix._exit 3;
           upper_f ~heartbeat ~seq ~attempt body
         in
         let leases = Array.init 6 (fun i -> Fmt.str "f%d" i) in
-        let spec = "io=0.3,oom=0.4" in
-        let seq_r, _ =
-          Engine.Shard.run_pool ~shards:1 ~limits
-            ~faults:(faults_of_spec spec) ~f leases
-        in
-        let fb_r, stats =
-          Engine.Shard.run_pool ~shards:2 ~limits
-            ~faults:(faults_of_spec spec) ~f leases
-        in
-        check verdicts_testable "fallback ≡ inline" seq_r fb_r;
-        (* inline oom draws count as deaths too, hence >= *)
-        check Alcotest.bool "workers were spawned and all died" true
-          (stats.Engine.Shard.st_spawned > 0
-          && stats.Engine.Shard.st_died >= stats.Engine.Shard.st_spawned);
-        check Alcotest.bool "attempts ran inline" true
-          (stats.Engine.Shard.st_inline >= Array.length leases));
+        let r, stats = Engine.Shard.run_pool ~shards:2 ~limits ~f leases in
+        Array.iteri
+          (fun i v ->
+            check verdict_testable (Fmt.str "lease %d tripped the breaker" i)
+              (Engine.Shard.Quarantined
+                 {
+                   q_reason = "circuit breaker: 4 worker deaths (worker-death)";
+                   q_attempts = 4;
+                 })
+              v)
+          r;
+        check Alcotest.int "each lease charged its breaker's deaths"
+          (Array.length leases * limits.breaker_deaths)
+          stats.Engine.Shard.st_died;
+        check Alcotest.int "nothing ran inline" 0 stats.Engine.Shard.st_inline);
     tc "a stalled peer does not get a healthy worker killed" (fun () ->
         (* the coordinator blocks for up to the hang timeout reading a
            stalled worker's partial frame; a healthy worker whose Result
@@ -501,6 +498,44 @@ let chaos_tests =
                 (Printexc.to_string e)
             | _ -> Alcotest.failf "hang_timeout_s %g was accepted" hang_timeout_s)
           [ Float.nan; 0.; -1. ]);
+    tc "allocation budget: every hog lease is quarantined, none inline"
+      (fun () ->
+        (* more deaths than shards × attempts: each lease must still die
+           in a worker under the budget, never finish on the coordinator
+           where the governor does not reach *)
+        let f ~heartbeat:_ ~seq:_ ~attempt:_ body =
+          if Engine.Shard.in_worker () then
+            for _ = 1 to 8 do
+              ignore (Sys.opaque_identity (Bytes.create 8_000_000));
+              Gc.full_major ()
+            done;
+          "ok:" ^ body
+        in
+        let leases = Array.init 4 (fun i -> Fmt.str "hog%d" i) in
+        let r, stats =
+          Engine.Shard.run_pool ~shards:2
+            ~limits:
+              {
+                Engine.Shard.default_limits with
+                alloc_budget_words = 1_000_000.;
+              }
+            ~f leases
+        in
+        Array.iteri
+          (fun i v ->
+            match v with
+            | Engine.Shard.Quarantined { q_reason; _ }
+              when Astring.String.is_infix ~affix:"worker-oom" q_reason ->
+              ()
+            | v ->
+              Alcotest.failf "lease %d: expected worker-oom quarantine, got %a"
+                i (Alcotest.pp verdict_testable) v)
+          r;
+        check Alcotest.int "nothing ran inline" 0 stats.Engine.Shard.st_inline;
+        check Alcotest.int "every attempt OOM-killed"
+          (Array.length leases
+          * Engine.Shard.default_limits.Engine.Shard.breaker_deaths)
+          stats.Engine.Shard.st_oom);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -605,25 +640,25 @@ let coordinator_tests =
         in
         check Alcotest.bool "distinct coverage across -O levels" true
           (cov (u 0) <> cov (u 2)));
-    tc "checkpoint files are Campaign-compatible: sequential save, \
-        sharded resume" (fun () ->
-        (* done- files hold the result alone, under the stable cell
-           names; with every journal removed they must still restore
-           each unit, in both directions between shard counts *)
+    tc "checkpoint files are Campaign-compatible: journals alone restore \
+        every unit across shard counts" (fun () ->
+        (* journals sit under the stable cell names and are written at
+           every shard count; they alone must restore each unit, in both
+           directions between shard counts, and no done- file is left *)
         let tmp suffix =
           Filename.concat (Filename.get_temp_dir_name ())
             (Fmt.str "metamut-shard-ckpt-%d%s" (Unix.getpid ()) suffix)
         in
-        let drop_journals dir =
-          Array.iter
-            (fun f ->
-              if String.starts_with ~prefix:"journal-" f then
-                Sys.remove (Filename.concat dir f))
-            (Sys.readdir dir)
-        in
         let round_trip ~save ~resume dir =
           let saved = run_coordinator ~shards:save ~checkpoint:dir () in
-          drop_journals dir;
+          let files = Array.to_list (Sys.readdir dir) in
+          check Alcotest.int
+            (Fmt.str "one journal per unit (shards %d)" save)
+            (List.length saved.Fuzzing.Coordinator.results)
+            (List.length
+               (List.filter (String.starts_with ~prefix:"journal-") files));
+          check Alcotest.(list string) "no done- file written" []
+            (List.filter (String.starts_with ~prefix:"done-") files);
           let resumed =
             run_coordinator ~shards:resume ~checkpoint:dir ~resume:true ()
           in
